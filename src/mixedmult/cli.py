@@ -40,6 +40,7 @@ from .maps import (
     check_G_condition,
     formula_gorenstein_ht3,
     formula_perfect_ht2,
+    ideal_height,
     projective_degrees,
     rees_ideal,
     satfiber_d0_check,
@@ -290,9 +291,7 @@ def _cmd_projdeg(F: RationalMapSpec, matrix, args):
         elim = projective_degrees(F, "elimination")
         result["degrees"] = list(elim.degrees)
         result["method"] = "elimination"
-        base_height = F.source_ring.nvars - quotient_dimension(
-            Ideal(F.source_ring, F.generators)
-        )
+        base_height = ideal_height(Ideal(F.source_ring, F.generators))
         d = F.d
         trailing_ok = all(
             elim.degrees[i] == F.delta ** (d - i)

@@ -31,7 +31,7 @@ class PairBudgetExceeded(RuntimeError):
 
 
 class EnumerationGuardError(RuntimeError):
-    """A combinatorial search exceeded its guard (16 variables / 10^7 monomials)."""
+    """A graded piece has more than 10^7 monomials to enumerate."""
 
 
 class InvariantViolation(RuntimeError):

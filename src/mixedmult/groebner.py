@@ -157,10 +157,6 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero()
 
-    def lt_ideal_exps(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal generating exponents of the leading-term ideal."""
-        return self.leading_exps
-
     def __repr__(self):
         return f"GroebnerBasis({list(self.elements)!r})"
 

@@ -9,7 +9,11 @@ component of K(1-s) of total degree below codim vanishes (asserted), and
 the codim-degree coefficients are the multiplicities, indexed by type
 n = D - exponent - 1.  The Hilbert polynomial comes from the same
 numerator through the binomial expansion of 1/(1-t)^D, with exact
-rational coefficients.
+rational coefficients.  So does the Krull dimension: it is the pole order
+at t = 1 of the total-degree coarsening, i.e. the number of variables
+minus the number of times (1-t) divides the coarsened numerator.  The
+leading-term ideal is monomial, hence multigraded, so this holds for a
+non-homogeneous J as well.
 """
 
 from __future__ import annotations
@@ -17,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Optional
 
 from .errors import EnumerationGuardError, InvariantViolation
 from .groebner import GroebnerBasis, Ideal, groebner_basis
 from .rings import LaurentPolyZ, RingSpec, mono_divides
 
-DIMENSION_GUARD_VARS = 16
 PIECE_GUARD = 10**7
 
 
@@ -130,42 +133,33 @@ def _minimalize(gens: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _min_hitting_set(supports: tuple[frozenset[int], ...], memo: dict) -> int:
-    """Minimum number of variables meeting every support set."""
-    if not supports:
-        return 0
-    key = supports
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    pivot = min(supports, key=lambda s: (len(s), sorted(s)))
-    best = None
-    for v in sorted(pivot):
-        rest = tuple(s for s in supports if v not in s)
-        sub = 1 + _min_hitting_set(rest, memo)
-        if best is None or sub < best:
-            best = sub
-    memo[key] = best
-    return best
-
-
-def _dimension_from_exps(gens: tuple[tuple[int, ...], ...], nvars: int) -> int:
+def _dimension_from_exps(gens: tuple[tuple[int, ...], ...], ring: RingSpec) -> int:
     """Krull dimension of the quotient by a monomial ideal; -1 for the zero ring."""
-    if nvars > DIMENSION_GUARD_VARS:
-        raise EnumerationGuardError(
-            f"{nvars} variables exceeds the dimension search guard "
-            f"({DIMENSION_GUARD_VARS})"
-        )
-    gens = _minimalize(list(gens))
-    if any(sum(g) == 0 for g in gens):
-        return -1
-    supports = tuple(
-        sorted(
-            {frozenset(i for i, e in enumerate(g) if e) for g in gens},
-            key=lambda s: (len(s), sorted(s)),
-        )
-    )
-    return nvars - _min_hitting_set(supports, {})
+    num = _knum(_minimalize(list(gens)), ring, "default")
+    return _pole_at_one(LaurentPolyZ(ring.r, num.items()), ring.nvars)[0]
+
+
+def _pole_at_one(numerator: LaurentPolyZ, nvars: int) -> tuple[int, int]:
+    """Dimension and multiplicity read off a series numerator.
+
+    The series is numerator / (1-t)^nvars after coarsening to total degree.
+    Divide the coarsened numerator by (1-t) while the remainder vanishes:
+    the dimension is nvars minus the number of divisions, the multiplicity
+    is the quotient at t = 1.  The zero numerator (zero ring) gives (-1, 0).
+    """
+    if numerator.is_zero():
+        return -1, 0
+    u = numerator.coarsened()
+    low = u.min_exponents()[0]
+    coeffs = [0] * (u.max_exponents()[0] - low + 1)
+    for (e,), c in u.terms:
+        coeffs[e - low] = c
+    order = 0
+    while sum(coeffs) == 0:
+        # w_i = v_0 + ... + v_i; the last partial sum is the zero remainder
+        coeffs = list(accumulate(coeffs))[:-1]
+        order += 1
+    return nvars - order, sum(coeffs)
 
 
 def monomial_dimension(I: Ideal) -> int:
@@ -178,19 +172,17 @@ def monomial_dimension(I: Ideal) -> int:
     for g in I.generators:
         if not g.is_monomial():
             raise ValueError(f"non-monomial generator {g}")
-    return _dimension_from_exps(
-        tuple(g.terms[0][0] for g in I.generators), I.ring.nvars
-    )
+    return _dimension_from_exps(tuple(g.terms[0][0] for g in I.generators), I.ring)
 
 
 def _lt_exps(J: Ideal) -> tuple[tuple[int, ...], ...]:
     """Minimal monomial generators of the leading-term ideal (degrevlex)."""
-    return groebner_basis(J).lt_ideal_exps()
+    return groebner_basis(J).leading_exps
 
 
 def quotient_dimension(J: Ideal) -> int:
     """Krull dimension of B/J (via the leading-term ideal)."""
-    return _dimension_from_exps(_lt_exps(J), J.ring.nvars)
+    return _dimension_from_exps(_lt_exps(J), J.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +275,7 @@ def k_polynomial(J: Ideal, pivot_rule: str = "default") -> HilbertSeriesRep:
         return hit
     J.require_multihomogeneous()
     ring = J.ring
-    gens = _minimalize(list(_lt_exps(J)))
-    num_dict = _knum(tuple(sorted(gens, key=lambda e: (sum(e), e))), ring, pivot_rule)
+    num_dict = _knum(_minimalize(list(_lt_exps(J))), ring, pivot_rule)
     numerator = LaurentPolyZ(ring.r, num_dict.items())
     if J.shift is not None:
         numerator = numerator.shifted(J.shift)
@@ -321,7 +312,7 @@ def series_coefficient(rep: HilbertSeriesRep, nu: tuple[int, ...]) -> int:
 def mixed_mult_series(J: Ideal, pivot_rule: str = "default") -> MixedMultTable:
     """Table of e_n over all types with |n+1| = dim, from K(1-s)."""
     rep = k_polynomial(J, pivot_rule)
-    d = quotient_dimension(J)
+    d, _ = _pole_at_one(rep.numerator, J.ring.nvars)
     if d < 0:
         return MixedMultTable(dimension=-1, route="series")
     return series_table(rep, d)
@@ -481,33 +472,9 @@ def _compositions(total: int, parts: int):
 
 def coarsened_multiplicity(J: Ideal) -> int:
     """Multiplicity of the total-degree coarsening of B/J."""
-    d = quotient_dimension(J)
+    d, e = _pole_at_one(k_polynomial(J).numerator, J.ring.nvars)
     if d < 0:
         return 0
-    rep = k_polynomial(J)
-    u = rep.numerator.coarsened()
-    m = u.min_exponents()[0]
-    if m < 0:
-        u = u.shifted((-m,))
-    coeffs: dict[int, int] = {e[0]: c for e, c in u.terms}
-    codim = sum(rep.denominator_exponents) - d
-    top = max(coeffs) if coeffs else 0
-    for _ in range(codim):
-        # divide by (1 - t): w_i = v_i + w_{i-1}, remainder must vanish
-        out: dict[int, int] = {}
-        running = 0
-        for i in range(top + 1):
-            running += coeffs.get(i, 0)
-            if running:
-                out[i] = running
-        if running != 0:
-            raise InvariantViolation(
-                "numerator not divisible by (1-t)^codim in coarsening"
-            )
-        out.pop(top, None)
-        coeffs = out
-        top -= 1
-    e = sum(coeffs.values())
     if e < 1:
         raise InvariantViolation(f"coarsened multiplicity {e} < 1 for nonzero quotient")
     return e

@@ -233,10 +233,6 @@ def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mono_coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 

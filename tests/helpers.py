@@ -44,3 +44,31 @@ def random_monomial_ideal(seed: int) -> Ideal:
             exps[rng.below(nvars)] += 1 + rng.below(2)
         gens.append(Polynomial(ring, ((tuple(exps), 1),)))
     return Ideal(ring, tuple(gens))
+
+
+def hitting_set_dimension(exps, nvars: int) -> int:
+    """Reference Krull dimension of the quotient by a monomial ideal.
+
+    The quotient's dimension is nvars minus the fewest variables that meet
+    the support of every generator (the largest coordinate subspace in the
+    zero set).  Exponential search; -1 for the zero ring.
+    """
+    if any(sum(e) == 0 for e in exps):
+        return -1
+    supports = frozenset(
+        frozenset(i for i, x in enumerate(e) if x) for e in exps
+    )
+    memo: dict = {}
+
+    def min_hitting_set(sets: frozenset) -> int:
+        if not sets:
+            return 0
+        if sets not in memo:
+            pivot = min(sets, key=lambda s: (len(s), sorted(s)))
+            memo[sets] = 1 + min(
+                min_hitting_set(frozenset(s for s in sets if v not in s))
+                for v in pivot
+            )
+        return memo[sets]
+
+    return nvars - min_hitting_set(supports)

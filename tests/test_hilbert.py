@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mixedmult import (
     EnumerationGuardError,
@@ -12,8 +13,10 @@ from mixedmult import (
     InvariantViolation,
     LaurentPolyZ,
     NotMultihomogeneousError,
+    Polynomial,
     coarsened_multiplicity,
     graded_piece_dim,
+    groebner_basis,
     hilbert_polynomial,
     irrelevant_ideal,
     k_polynomial,
@@ -24,7 +27,13 @@ from mixedmult import (
     series_table,
 )
 
-from helpers import mk, p1xp1, random_monomial_ideal, ring_blocks
+from helpers import (
+    hitting_set_dimension,
+    mk,
+    p1xp1,
+    random_monomial_ideal,
+    ring_blocks,
+)
 
 R = p1xp1()
 DIAGONAL = mk(R, "x0*y1 - x1*y0")
@@ -59,10 +68,69 @@ def test_dimension_rejects_non_monomial_generators():
         monomial_dimension(DIAGONAL)
 
 
-def test_dimension_guard_at_seventeen_variables():
+def test_dimension_at_seventeen_variables():
     big = ring_blocks(tuple(f"v{i}" for i in range(17)))
-    with pytest.raises(EnumerationGuardError):
-        monomial_dimension(Ideal(big, ()))
+    assert monomial_dimension(Ideal(big, ())) == 17
+
+
+def test_hypersurface_in_p8xp7():
+    ring = ring_blocks(
+        tuple(f"x{i}" for i in range(9)), tuple(f"y{i}" for i in range(8))
+    )
+    J = mk(ring, "x0*y0 + x1*y1 + x2*y2")
+    table = mixed_mult_series(J)
+    assert table.entries == {(8, 6): 1, (7, 7): 1}
+    assert table.dimension == 16
+    assert coarsened_multiplicity(J) == 2
+
+
+@st.composite
+def monomial_ideals(draw) -> Ideal:
+    sizes = draw(
+        st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
+            lambda s: sum(s) <= 10
+        )
+    )
+    nvars = sum(sizes)
+    # pure powers x_i^a raise the height, so that all heights up to nvars occur
+    k = draw(st.integers(0, nvars))
+    powers = draw(st.permutations(range(nvars)))[:k]
+    a = draw(st.integers(1, 2))
+    mixed = draw(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, nvars - 1), st.integers(1, 2), min_size=1, max_size=3
+            ),
+            max_size=6,
+        )
+    )
+    exps = [
+        tuple(d.get(i, 0) for i in range(nvars))
+        for d in [{i: a} for i in powers] + mixed
+    ]
+    ring = ring_blocks(
+        *(tuple(f"{b}{i}" for i in range(n)) for b, n in zip("xyz", sizes))
+    )
+    return Ideal(ring, tuple(Polynomial(ring, ((e, 1),)) for e in exps))
+
+
+NONHOMOGENEOUS = (
+    mk(R, "x0 - 1"),
+    mk(R, "x0*y0 - x1"),
+    mk(R, "x0^2 - y1", "x1*y0 - 1"),
+    mk(R, "x0 - 1", "x0"),
+    mk(ring_blocks(("x0", "x1", "x2")), "x0*x1 - x2", "x1^2 - x0"),
+)
+
+
+@given(J=st.one_of(monomial_ideals(), st.sampled_from(NONHOMOGENEOUS)))
+def test_dimension_matches_hitting_set_oracle(J):
+    expected = hitting_set_dimension(groebner_basis(J).leading_exps, J.ring.nvars)
+    assert quotient_dimension(J) == expected
+    if J.is_monomial_ideal():
+        exps = [g.terms[0][0] for g in J.generators]
+        assert monomial_dimension(J) == hitting_set_dimension(exps, J.ring.nvars)
+        assert coarsened_multiplicity(J) == mixed_mult_series(J).total()
 
 
 def test_quotient_dimension_via_leading_terms():
