@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotMultihomogeneousError, PairBudgetExceeded
@@ -236,14 +237,20 @@ def _entry_from_poly(g: Polynomial, order: TermOrder):
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moller pruning and sugar selection
 
-_gb_cache: dict = {}
-
-
 def groebner_basis(
     J: Ideal | Sequence[Polynomial],
     order: Optional[TermOrder] = None,
     budget: Optional[int] = None,
 ) -> GroebnerBasis:
+    """Reduced Groebner basis of J under ``order`` (default degrevlex).
+
+    The Buchberger run is memoized on (ring, generator set, order, pair
+    budget): the same generators in any order and with any repeats share one
+    entry, and since the resolved budget is part of the key a basis computed
+    under one budget is never returned under a smaller one.  The memo is a
+    bounded LRU; ``_buchberger.cache_info()`` reads its hits and misses and
+    ``_buchberger.cache_clear()`` empties it.
+    """
     if isinstance(J, Ideal):
         ring = J.ring
         gens = J.generators
@@ -254,17 +261,14 @@ def groebner_basis(
         ring = gens[0].ring
     if order is None:
         order = degrevlex_order(ring)
-    cache_key = (ring, frozenset(g.terms for g in gens), order.signature())
-    hit = _gb_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    result = _buchberger(ring, gens, order, resolve_pair_budget(budget))
-    _gb_cache[cache_key] = result
-    return result
+    return _buchberger(ring, frozenset(gens), order, resolve_pair_budget(budget))
 
 
+# One benchmark pass of many small saturations makes under 800 distinct
+# runs, so 4096 entries keep every reuse while bounding a long-lived process.
+@lru_cache(maxsize=4096)
 def _buchberger(
-    ring: RingSpec, gens: Sequence[Polynomial], order: TermOrder, budget: int
+    ring: RingSpec, gens: frozenset, order: TermOrder, budget: int
 ) -> GroebnerBasis:
     p = ring.characteristic
     work_gens = sorted(

@@ -121,8 +121,6 @@ class RationalMapSpec:
 # ---------------------------------------------------------------------------
 # Rees ideal and projective degrees
 
-_rees_cache: dict[RationalMapSpec, Ideal] = {}
-
 
 def _pad(exps: tuple[int, ...], before: int, after: int) -> tuple[int, ...]:
     return (0,) * before + exps + (0,) * after
@@ -134,9 +132,6 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
     Computed by eliminating t from (y_0 - t f_0, ..., y_n - t f_n); every
     returned generator is checked to vanish under y_i -> t f_i.
     """
-    hit = _rees_cache.get(F)
-    if hit is not None:
-        return hit
     graph = F.graph_ring()
     xs = F.source_vars
     ys = F.target_names()
@@ -173,7 +168,6 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
         result.require_multihomogeneous()
     except NotMultihomogeneousError as e:
         raise InvariantViolation(f"Rees ideal not bigraded: {e}") from e
-    _rees_cache[F] = result
     return result
 
 

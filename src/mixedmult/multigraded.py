@@ -1,23 +1,24 @@
 """Irrelevant saturation, multidegrees, and randomized hyperplane slicing.
 
 The irrelevant ideal of a block ring is the intersection of the block
-variable ideals; saturating by it removes the submodule supported on the
-union of the coordinate degenerate loci, which is exactly the part the
-Hilbert polynomial cannot see.  Multidegrees are the leading data of that
-polynomial.  The slicing verifier cuts the quotient with verified
-filter-regular hyperplanes, saturates, and counts points, giving an
-independent randomized route to the same numbers.
+variable ideals, which for disjoint blocks is their product; saturating by
+it removes the submodule supported on the union of the coordinate
+degenerate loci, which is exactly the part the Hilbert polynomial cannot
+see.  Multidegrees are the leading data of that polynomial.  The slicing
+verifier cuts the quotient with verified filter-regular hyperplanes,
+saturates, and counts points, giving an independent randomized route to
+the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import InvariantViolation, SamplingExhausted
 from .groebner import (
     Ideal,
     groebner_basis,
-    ideal_intersection,
     ideal_quotient,
     normal_form,
     saturation,
@@ -31,12 +32,9 @@ from .hilbert import (
     quotient_dimension,
 )
 from .prng import Prng
-from .rings import DEGREE_ANY, Polynomial, RingSpec
+from .rings import DEGREE_ANY, Polynomial, RingSpec, degrevlex_order
 
 MAX_RESAMPLES = 10
-
-_irrelevant_cache: dict[RingSpec, Ideal] = {}
-_saturation_cache: dict[Ideal, Ideal] = {}
 
 
 def block_ideal(ring: RingSpec, block: int) -> Ideal:
@@ -49,27 +47,28 @@ def block_ideal(ring: RingSpec, block: int) -> Ideal:
 
 
 def irrelevant_ideal(ring: RingSpec) -> Ideal:
-    """Intersection of the block variable ideals."""
-    hit = _irrelevant_cache.get(ring)
-    if hit is not None:
-        return hit
-    acc = block_ideal(ring, 0)
-    for i in range(1, ring.r):
-        acc = ideal_intersection(acc, block_ideal(ring, i))
-    _irrelevant_cache[ring] = acc
-    return acc
+    """Intersection of the block variable ideals.
+
+    The blocks share no variables, so this is their product: the monomials
+    taking one variable from each block, which are its reduced Groebner
+    basis.  With two or more blocks they come in ascending degrevlex order.
+    """
+    if ring.r == 1:
+        return block_ideal(ring, 0)
+    monomials = [
+        tuple(int(i in choice) for i in range(ring.nvars))
+        for choice in product(*(range(lo, hi) for lo, hi in ring.block_slices))
+    ]
+    monomials.sort(key=degrevlex_order(ring).key)
+    return Ideal(ring, (Polynomial(ring, ((e, 1),)) for e in monomials))
 
 
 def irrelevant_saturation(J: Ideal) -> Ideal:
     """(J : N^inf) for the irrelevant ideal N; the shift is preserved."""
     J.require_multihomogeneous()
-    hit = _saturation_cache.get(J)
-    if hit is not None:
-        return hit
     sat = saturation(J, irrelevant_ideal(J.ring))
     if J.shift is not None:
         sat = sat.with_shift(J.shift)
-    _saturation_cache[J] = sat
     return sat
 
 

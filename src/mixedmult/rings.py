@@ -125,9 +125,6 @@ class RingSpec:
 # ---------------------------------------------------------------------------
 # Term orders
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
 class TermOrder:
     """Global multiplicative monomial order.
 
@@ -171,11 +168,7 @@ class TermOrder:
 
     def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LESS
-        if ka > kb:
-            return GREATER
-        return EQUAL
+        return (ka > kb) - (ka < kb)
 
     def signature(self):
         return (self.kind, self.nvars, self.drop)

@@ -1,6 +1,14 @@
 """Shared ring and ideal builders used across the test suite."""
 
-from mixedmult import Ideal, Polynomial, Prng, RingSpec, parse_polynomial
+from mixedmult import (
+    Ideal,
+    Polynomial,
+    Prng,
+    RingSpec,
+    ideal_intersection,
+    parse_polynomial,
+)
+from mixedmult.multigraded import block_ideal
 
 CHAR = 32003
 
@@ -72,3 +80,15 @@ def hitting_set_dimension(exps, nvars: int) -> int:
         return memo[sets]
 
     return nvars - min_hitting_set(supports)
+
+
+def intersection_irrelevant_ideal(ring: RingSpec) -> Ideal:
+    """Reference irrelevant ideal: the block ideals intersected by elimination.
+
+    One block gives the block ideal itself; otherwise each intersection is an
+    elimination, whose generators come out as a reduced Groebner basis.
+    """
+    acc = block_ideal(ring, 0)
+    for i in range(1, ring.r):
+        acc = ideal_intersection(acc, block_ideal(ring, i))
+    return acc

@@ -282,7 +282,6 @@ FRESH = ring_blocks(("a", "b", "c"))
 
 
 def _budget_victim() -> Ideal:
-    # not used anywhere else: keeps the GB cache from short-circuiting
     return mk(FRESH, "a^2 - b*c", "a*b - c^2", "b^2 - a*c")
 
 
@@ -294,6 +293,16 @@ def test_pair_budget_exceeded_carries_stats():
     assert stats["pairs_processed"] > stats["budget"]
     assert stats["basis_size"] >= 3
     assert "pairs_remaining" in stats
+
+
+def test_memoized_basis_respects_smaller_budget():
+    P2 = ring_blocks(("x0", "x1", "x2"))
+    J = mk(P2, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
+    assert len(groebner_basis(J).elements) >= 3
+    with pytest.raises(PairBudgetExceeded) as err:
+        groebner_basis(J, budget=1)
+    assert err.value.stats["budget"] == 1
+    assert err.value.stats["pairs_processed"] == 2
 
 
 def test_budget_resolution_precedence(monkeypatch):

@@ -159,10 +159,6 @@ def test_rees_ideal_generators_are_bihomogeneous():
         assert g.multidegree() is not None
 
 
-def test_rees_ideal_cached_per_spec():
-    assert rees_ideal(cremona_map()) is rees_ideal(cremona_map())
-
-
 # ---------------------------------------------------------------------------
 # Projective degree vectors
 

@@ -1,5 +1,7 @@
 """Irrelevant-ideal saturation, filter-regularity, multidegrees, slicing."""
 
+import itertools
+
 import pytest
 
 from mixedmult import (
@@ -24,7 +26,7 @@ from mixedmult import (
 )
 import mixedmult.multigraded as mg
 
-from helpers import mk, p1xp1, pp, ring_blocks
+from helpers import intersection_irrelevant_ideal, mk, p1xp1, pp, ring_blocks
 
 R = p1xp1()
 DIAGONAL = mk(R, "x0*y1 - x1*y0")
@@ -50,8 +52,17 @@ def test_irrelevant_ideal_is_product_of_blocks():
     assert nbar().same_ideal(mk(R, "x0*y0", "x0*y1", "x1*y0", "x1*y1"))
 
 
-def test_irrelevant_ideal_cached():
-    assert irrelevant_ideal(R) is irrelevant_ideal(R)
+@pytest.mark.parametrize(
+    "sizes",
+    [s for r in (1, 2, 3) for s in itertools.product(range(1, 5), repeat=r)],
+    ids=lambda sizes: "x".join(map(str, sizes)),
+)
+def test_irrelevant_ideal_matches_intersection_oracle(sizes):
+    ring = ring_blocks(
+        *(tuple(f"{'xyz'[b]}{i}" for i in range(n)) for b, n in enumerate(sizes))
+    )
+    expected = intersection_irrelevant_ideal(ring).generators
+    assert irrelevant_ideal(ring).generators == expected
 
 
 def test_saturation_of_irrelevant_ideal_is_unit():
