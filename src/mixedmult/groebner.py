@@ -3,9 +3,11 @@
 The S-pair queue is pruned with the Gebauer-Moller update and pairs are
 selected by (sugar, leading-term key), so runs are deterministic; the final
 basis is inter-reduced and monic, hence the unique reduced Groebner basis
-of the ideal for the given order.  Elimination, colon, saturation and
-intersection all reduce to Groebner runs, the last three through a
-degree-0 helper variable that is removed before returning.
+of the ideal for the given order.  Elimination is one run in a block
+elimination order.  Intersection, colon and saturation append helper
+variables, eliminate them and drop them before returning: intersection (and
+the colon built on it) uses one helper, saturation one helper per generator
+of the saturating ideal.
 """
 
 from __future__ import annotations
@@ -444,14 +446,18 @@ def elimination_ideal(J: Ideal, drop_names: Iterable[str]) -> Ideal:
 
 
 def _lift(p: Polynomial, ext: RingSpec) -> Polynomial:
-    return Polynomial(ext, ((e + (0,), c) for e, c in p.terms))
+    """p in ``ext``, a ring extended by helper variables set to exponent 0."""
+    pad = (0,) * (ext.nvars - p.ring.nvars)
+    return Polynomial(ext, ((e + pad, c) for e, c in p.terms))
 
 
 def _project(p: Polynomial, ring: RingSpec) -> Polynomial:
+    """p back in ``ring``, dropping the helper variables it must not involve."""
+    n = ring.nvars
     for e, _ in p.terms:
-        if e[-1] != 0:
-            raise AssertionError("projection of a polynomial involving the helper")
-    return Polynomial(ring, ((e[:-1], c) for e, c in p.terms))
+        if any(e[n:]):
+            raise AssertionError("projection of a polynomial involving a helper")
+    return Polynomial(ring, ((e[:n], c) for e, c in p.terms))
 
 
 def ideal_intersection(J1: Ideal, J2: Ideal) -> Ideal:
@@ -505,39 +511,27 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     return Ideal(J.ring, groebner_basis(Ideal(J.ring, gens)).elements)
 
 
-def _saturate_by_element(J: Ideal, k: Polynomial) -> Ideal:
-    """(J : k^∞) via J + (1 − w·k), eliminating the helper w."""
-    ring = J.ring
-    if k.is_constant():
-        return Ideal(ring, groebner_basis(J).elements)
-    ext = ring.extended("_w")
-    wname = ext.variables[-1]
-    w = Polynomial.variable(ext, wname)
-    gens = [_lift(g, ext) for g in J.generators]
-    gens.append(Polynomial.one(ext) - w * _lift(k, ext))
-    eliminated = elimination_ideal(Ideal(ext, gens), (wname,))
-    return Ideal(ring, [_project(g, ring) for g in eliminated.generators])
-
-
 def saturation(J: Ideal, K: Ideal) -> Ideal:
-    """(J : K^∞) as the intersection of per-generator saturations."""
+    """(J : K^∞) by one elimination, as its reduced degrevlex basis.
+
+    With one helper w_j per generator k_j of K,
+    (J : K^∞) = (J + (1 − Σ_j w_j·k_j)) ∩ R.  If K^M·g ⊆ J then
+    g·(Σ_j w_j·k_j)^M ∈ J, so g lies in the right side; conversely
+    w_l ↦ 1/k_l and w_j ↦ 0 (j ≠ l) put g in J·R_{k_l} for every l.
+    The helper-free part of the reduced elimination basis is already the
+    reduced degrevlex basis, since the elimination order restricted to R is
+    degrevlex.
+    """
     if J.ring != K.ring:
         raise ValueError("ideals over different rings")
     if not K.generators:
         raise ValueError("saturation by the zero ideal")
-    result: Optional[Ideal] = None
-    for k in K.generators:
-        part = _saturate_by_element(J, k)
-        if result is None:
-            result = part
-        elif part.generators == result.generators:
-            continue
-        elif part.is_unit_ideal():
-            continue
-        elif result.is_unit_ideal():
-            result = part
-        else:
-            inter = ideal_intersection(result, part)
-            result = Ideal(J.ring, groebner_basis(inter).elements)
-    assert result is not None
-    return Ideal(J.ring, groebner_basis(result).elements)
+    ring = J.ring
+    ext = ring.extended("_w", len(K.generators))
+    helpers = ext.variables[ring.nvars:]
+    rabinowitsch = Polynomial.one(ext)
+    for name, k in zip(helpers, K.generators):
+        rabinowitsch = rabinowitsch - Polynomial.variable(ext, name) * _lift(k, ext)
+    gens = [_lift(g, ext) for g in J.generators] + [rabinowitsch]
+    eliminated = elimination_ideal(Ideal(ext, gens), helpers)
+    return Ideal(ring, [_project(g, ring) for g in eliminated.generators])

@@ -458,11 +458,14 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def coarsened_multiplicity(J: Ideal) -> int:
-    """Multiplicity of the total-degree coarsening of B/J."""
+def _dimension_and_multiplicity(J: Ideal) -> tuple[int, int]:
+    """Krull dimension and coarsened multiplicity of B/J from one numerator."""
     d, e = _pole_at_one(k_polynomial(J).numerator, J.ring.nvars)
-    if d < 0:
-        return 0
-    if e < 1:
+    if d >= 0 and e < 1:
         raise InvariantViolation(f"coarsened multiplicity {e} < 1 for nonzero quotient")
-    return e
+    return d, e
+
+
+def coarsened_multiplicity(J: Ideal) -> int:
+    """Multiplicity of the total-degree coarsening of B/J (0 for the zero ring)."""
+    return _dimension_and_multiplicity(J)[1]

@@ -25,11 +25,10 @@ from .groebner import (
 )
 from .hilbert import (
     MixedMultTable,
-    coarsened_multiplicity,
+    _dimension_and_multiplicity,
     graded_piece_dim,
     hilbert_polynomial,
     mixed_mult_series,
-    quotient_dimension,
 )
 from .prng import Prng
 from .rings import DEGREE_ANY, Polynomial, RingSpec, degrevlex_order
@@ -209,9 +208,8 @@ def mixed_mult_via_slicing(J: Ideal, n: tuple[int, ...], seed: Prng | int) -> in
     J.require_multihomogeneous()
     sliced, _, _ = _sliced_by_verified_forms(J, tuple(n), rng)
     sat = irrelevant_saturation(sliced)
-    if quotient_dimension(sat) != J.ring.r:
-        return 0
-    return coarsened_multiplicity(sat)
+    d, e = _dimension_and_multiplicity(sat)
+    return e if d == J.ring.r else 0
 
 
 @dataclass(frozen=True)

@@ -112,14 +112,16 @@ class RingSpec:
     def zero_exps(self) -> tuple[int, ...]:
         return (0,) * self.nvars
 
-    def extended(self, extra: str) -> "RingSpec":
-        """Same ring with one fresh degree-irrelevant helper block appended."""
-        name = extra
-        k = 0
-        while name in self._index:
-            name = f"{extra}{k}"
-            k += 1
-        return RingSpec(self.characteristic, self.blocks + ((name,),))
+    def extended(self, extra: str, count: int = 1) -> "RingSpec":
+        """Same ring with one degree-irrelevant block of ``count`` helpers appended.
+
+        The helpers are the first ``count`` of ``extra``, ``extra0``,
+        ``extra1``, ... that are not already variables of the ring.
+        """
+        # at most nvars candidates clash, so nvars + count + 1 of them suffice
+        names = [extra] + [f"{extra}{k}" for k in range(self.nvars + count)]
+        fresh = tuple(n for n in names if n not in self._index)[:count]
+        return RingSpec(self.characteristic, self.blocks + (fresh,))
 
 
 # ---------------------------------------------------------------------------

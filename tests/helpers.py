@@ -5,9 +5,12 @@ from mixedmult import (
     Polynomial,
     Prng,
     RingSpec,
+    elimination_ideal,
+    groebner_basis,
     ideal_intersection,
     parse_polynomial,
 )
+from mixedmult.groebner import _lift, _project
 from mixedmult.multigraded import block_ideal
 
 CHAR = 32003
@@ -92,3 +95,41 @@ def intersection_irrelevant_ideal(ring: RingSpec) -> Ideal:
     for i in range(1, ring.r):
         acc = ideal_intersection(acc, block_ideal(ring, i))
     return acc
+
+
+def _saturate_by_element(J: Ideal, k: Polynomial) -> Ideal:
+    """(J : k^inf) via J + (1 - w*k), eliminating the one helper w."""
+    ring = J.ring
+    if k.is_constant():
+        return Ideal(ring, groebner_basis(J).elements)
+    ext = ring.extended("_w")
+    wname = ext.variables[-1]
+    w = Polynomial.variable(ext, wname)
+    gens = [_lift(g, ext) for g in J.generators]
+    gens.append(Polynomial.one(ext) - w * _lift(k, ext))
+    eliminated = elimination_ideal(Ideal(ext, gens), (wname,))
+    return Ideal(ring, [_project(g, ring) for g in eliminated.generators])
+
+
+def per_generator_saturation(J: Ideal, K: Ideal) -> Ideal:
+    """Reference (J : K^inf): the intersection of the (J : k^inf), k in K.
+
+    One single-helper elimination per generator of K, folded by pairwise
+    intersections (skipping equal parts and unit ideals), then the reduced
+    degrevlex basis of the result.
+    """
+    result = None
+    for k in K.generators:
+        part = _saturate_by_element(J, k)
+        if result is None:
+            result = part
+        elif part.generators == result.generators:
+            continue
+        elif part.is_unit_ideal():
+            continue
+        elif result.is_unit_ideal():
+            result = part
+        else:
+            inter = ideal_intersection(result, part)
+            result = Ideal(J.ring, groebner_basis(inter).elements)
+    return Ideal(J.ring, groebner_basis(result).elements)

@@ -1,7 +1,12 @@
 """Buchberger engine and the ideal-theoretic primitives built on it."""
 
-import pytest
+import operator
+from functools import reduce
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mixedmult.groebner as gb
 from mixedmult import (
     Ideal,
     PairBudgetExceeded,
@@ -18,7 +23,7 @@ from mixedmult import (
 )
 from mixedmult.groebner import DEFAULT_PAIR_BUDGET, resolve_pair_budget
 
-from helpers import mk, p1xp1, pp, ring_blocks
+from helpers import CHAR, mk, p1xp1, per_generator_saturation, pp, ring_blocks
 
 R = p1xp1()
 RXY = ring_blocks(("x", "y"))
@@ -235,6 +240,81 @@ def test_saturation_contains_j_with_quotient_criterion():
 def test_saturation_by_zero_rejected():
     with pytest.raises(ValueError):
         saturation(mk(RXY, "x"), Ideal(RXY, ()))
+
+
+def test_saturation_is_one_elimination(monkeypatch):
+    targets = {
+        "elimination_ideal": gb,
+        "ideal_intersection": gb,
+        "is_unit_ideal": gb.Ideal,
+    }
+    calls = dict.fromkeys(targets, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, owner in targets.items():
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    J = mk(R, "x0^2*y1 - x1^2*y0", "x0*x1*y0*y1")
+    saturation(J, mk(R, "x0*y0", "x0*y1", "x1*y0", "x1*y1"))
+    assert calls == {"elimination_ideal": 1, "ideal_intersection": 0, "is_unit_ideal": 0}
+
+
+R3 = ring_blocks(("x", "y"), ("z",))
+
+# Nonconstant, mostly inhomogeneous factors: one or two terms, each variable
+# to the power 0 or 1.  Small coefficients make sums of K's generators fall
+# into J's components, where saturating by the sum and by K differ.
+factors = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * R3.nvars),
+    st.sampled_from((1, -1, 2)),
+    min_size=1,
+    max_size=2,
+).map(lambda terms: Polynomial(R3, terms.items()))
+factors = factors.filter(lambda f: not f.is_constant())
+
+
+@st.composite
+def saturation_inputs(draw):
+    """J from products of 1-3 factors (zero one time in six), K from 1-3
+    factors plus, one time in four, a nonzero constant."""
+    J = Ideal(R3, ())
+    if draw(st.integers(0, 5)) < 5:
+        products = st.lists(factors, min_size=1, max_size=3).map(
+            lambda fs: reduce(operator.mul, fs)
+        )
+        J = Ideal(R3, draw(st.lists(products, min_size=1, max_size=3)))
+    K = draw(st.lists(factors, min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 3:
+        K.append(Polynomial.constant(R3, draw(st.integers(1, CHAR - 1))))
+    return J, Ideal(R3, K)
+
+
+@settings(max_examples=150)
+@given(inputs=saturation_inputs())
+def test_saturation_matches_per_generator_oracle(inputs):
+    J, K = inputs
+    assert saturation(J, K).generators == per_generator_saturation(J, K).generators
+
+
+def test_saturation_helpers_avoid_existing_names():
+    ring = ring_blocks(("x", "_w"), ("_w0", "_w1", "y"))
+    assert ring.extended("_w", 3).variables[5:] == ("_w2", "_w3", "_w4")
+    x, w, w0, w1, y = (Polynomial.variable(ring, n) for n in ring.variables)
+    J = Ideal(ring, (x * w * w0 - y * w1 * w1, x * x * w0, w * w1 * y))
+    for K in (
+        Ideal(ring, (x * w0, w * w1)),
+        Ideal(ring, (w1, w * y - w0)),
+        Ideal(ring, (x, w * w1, w0 * y)),
+    ):
+        sat = saturation(J, K)
+        assert sat.ring == ring
+        assert sat.generators != groebner_basis(J).elements
+        assert sat.generators == per_generator_saturation(J, K).generators
 
 
 # ---------------------------------------------------------------------------
