@@ -157,6 +157,23 @@ class GroebnerBasis:
             g.lead_exps(order) for g in self.elements
         )
 
+    @classmethod
+    def _with_leads(
+        cls,
+        ring: RingSpec,
+        order: TermOrder,
+        elements: Sequence[Polynomial],
+        leading_exps: Sequence[tuple[int, ...]],
+    ) -> "GroebnerBasis":
+        """Internal: a basis whose leading exponents under ``order`` the
+        caller (``_buchberger``) already holds, so they are not looked up."""
+        G = cls.__new__(cls)
+        G.ring = ring
+        G.order = order
+        G.elements = tuple(elements)
+        G.leading_exps = tuple(leading_exps)
+        return G
+
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero()
 
@@ -229,9 +246,9 @@ def _full_reduce(
     return remainder, sugar
 
 
-def _entry_from_poly(g: Polynomial, order: TermOrder):
-    """(lead_exps, tail_terms) for a monic polynomial under ``order``."""
-    lead = g.lead_exps(order)
+def _entry_from_poly(g: Polynomial, lead: tuple[int, ...]):
+    """(lead_exps, tail_terms) for a monic polynomial with leading exponents
+    ``lead``."""
     tail = tuple((e, c) for e, c in g.terms if e != lead)
     return (lead, tail)
 
@@ -275,11 +292,11 @@ def _buchberger(
     p = ring.characteristic
     work_gens = sorted(
         (g.monic(order) for g in gens if not g.is_zero()),
-        key=lambda g: (order.key(g.lead_exps(order)), g.terms),
+        key=lambda gl: (order.key(gl[1]), gl[0].terms),
     )
     if not work_gens:
         return GroebnerBasis(ring, order, ())
-    if any(g.is_constant() for g in work_gens):
+    if any(g.is_constant() for g, _ in work_gens):
         return GroebnerBasis(ring, order, (Polynomial.one(ring),))
 
     entries: list = []  # (lead, tail) per basis element
@@ -288,10 +305,10 @@ def _buchberger(
     pairs: list = []  # (sugar, lcm_key, i, j, lcm)
     processed = 0
 
-    def add_element(g: Polynomial, sugar: int):
-        """Gebauer-Moller update of the pair set, then append g."""
+    def add_element(g: Polynomial, lead_t: tuple[int, ...], sugar: int):
+        """Gebauer-Moller update of the pair set, then append g (monic, with
+        leading exponents lead_t)."""
         t = len(entries)
-        lead_t = g.lead_exps(order)
         lcms = [mono_lcm(leads[i], lead_t) for i in range(t)]
         # New pairs: scan candidates in index order, keep survivors (B-W Update).
         candidates = list(range(t))
@@ -350,17 +367,16 @@ def _buchberger(
             surviving.append(entry)
         surviving.extend(new_pairs)
         pairs[:] = surviving
-        entries.append(_entry_from_poly(g, order))
+        entries.append(_entry_from_poly(g, lead_t))
         sugars.append(sugar)
         leads.append(lead_t)
 
-    for g in work_gens:
+    for g, _ in work_gens:
         red, sg = _full_reduce(
             g.as_dict(), entries, order, p, sugar=g.total_degree(), sugars=sugars
         )
         if red:
-            gg = Polynomial(ring, red.items()).monic(order)
-            add_element(gg, sg)
+            add_element(*Polynomial(ring, red.items()).monic(order), sg)
 
     while pairs:
         best = min(pairs)
@@ -391,10 +407,10 @@ def _buchberger(
         work = {e: c % p for e, c in work.items() if c % p}
         red, sg = _full_reduce(work, entries, order, p, sugar=s_sugar, sugars=sugars)
         if red:
-            g = Polynomial(ring, red.items()).monic(order)
+            g, lead = Polynomial(ring, red.items()).monic(order)
             if g.is_constant():
                 return GroebnerBasis(ring, order, (Polynomial.one(ring),))
-            add_element(g, sg)
+            add_element(g, lead, sg)
 
     # Inter-reduce to the unique reduced basis.
     idx_by_lead = sorted(range(len(entries)), key=lambda i: order.key(leads[i]))
@@ -402,15 +418,17 @@ def _buchberger(
     for i in idx_by_lead:
         if not any(mono_divides(leads[j], leads[i]) for j in minimal):
             minimal.append(i)
-    reduced: list[Polynomial] = []
+    reduced: list[tuple[tuple[int, ...], Polynomial]] = []
     for i in minimal:
         others = [entries[j] for j in minimal if j != i]
         lead_i, tail_i = entries[i]
         red, _ = _full_reduce(dict(tail_i), others, order, p)
         red[lead_i] = 1
-        reduced.append(Polynomial(ring, red.items()))
-    reduced.sort(key=lambda g: order.key(g.lead_exps(order)))
-    return GroebnerBasis(ring, order, reduced)
+        reduced.append((lead_i, Polynomial(ring, red.items())))
+    reduced.sort(key=lambda lg: order.key(lg[0]))
+    return GroebnerBasis._with_leads(
+        ring, order, [g for _, g in reduced], [lead for lead, _ in reduced]
+    )
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -419,7 +437,9 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         raise ValueError("polynomial and basis over different rings")
     if p.is_zero() or not G.elements:
         return p
-    entries = [_entry_from_poly(g, G.order) for g in G.elements]
+    entries = [
+        _entry_from_poly(g, lead) for g, lead in zip(G.elements, G.leading_exps)
+    ]
     red, _ = _full_reduce(p.as_dict(), entries, G.order, p.ring.characteristic)
     return Polynomial(p.ring, red.items())
 

@@ -8,12 +8,14 @@ Mixed multiplicities are read off the substitution t_i = 1 - s_i: every
 component of K(1-s) of total degree below codim vanishes (asserted), and
 the codim-degree coefficients are the multiplicities, indexed by type
 n = D - exponent - 1.  The Hilbert polynomial comes from the same
-numerator through the binomial expansion of 1/(1-t)^D, with exact
-rational coefficients.  So does the Krull dimension: it is the pole order
-at t = 1 of the total-degree coarsening, i.e. the number of variables
-minus the number of times (1-t) divides the coarsened numerator.  The
-leading-term ideal is monomial, hence multigraded, so this holds for a
-non-homogeneous J as well.
+numerator: each term t^a over (1-t)^D contributes C(X + D-1-a, D-1), and
+(D-1)! times that is the integer product prod_{j=1}^{D-1} (X - a + j), so
+the expansion runs in integers and each coefficient is divided once by
+L = prod_i (D_i - 1)!.  The Krull dimension comes from the numerator too:
+it is the pole order at t = 1 of the total-degree coarsening, i.e. the
+number of variables minus the number of times (1-t) divides the coarsened
+numerator.  The leading-term ideal is monomial, hence multigraded, so this
+holds for a non-homogeneous J as well.
 """
 
 from __future__ import annotations
@@ -366,51 +368,54 @@ def series_table(rep: HilbertSeriesRep, dimension: int) -> MixedMultTable:
 # Hilbert polynomial
 
 
-def _binomial_poly(shift: int, k: int) -> list[Fraction]:
-    """Coefficients (ascending) of C(X + shift, k) as a polynomial in X."""
-    coeffs = [Fraction(1)]
-    for j in range(1, k + 1):
-        # multiply by (X + shift - k + j)
-        const = Fraction(shift - k + j)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * const
-            nxt[i + 1] += c
-        coeffs = nxt
-    inv = Fraction(1, math.factorial(k))
-    return [c * inv for c in coeffs]
-
-
 def hilbert_polynomial(J: Ideal) -> HilbertPolynomialRep:
-    """Exact multivariate Hilbert polynomial of B/J(-shift)."""
+    """Exact multivariate Hilbert polynomial of B/J(-shift).
+
+    The term c*t^a of the numerator over prod_i (1-t_i)^(D_i) contributes
+    c * prod_i C(X_i + D_i - 1 - a_i, D_i - 1) for X >= a componentwise, and
+    (D-1)! * C(X + D-1-a, D-1) is the integer polynomial
+    prod_{j=1}^{D-1} (X - a + j).  So the sum is accumulated over the
+    integers, scaled by L = prod_i (D_i - 1)!, and each coefficient is
+    divided by L once at the end.
+    """
     rep = k_polynomial(J)
     ring = J.ring
     D = ring.block_sizes
-    r = ring.r
-    coeffs: dict[tuple[int, ...], Fraction] = {}
+    factors: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    scaled: dict[tuple[int, ...], int] = {}
     for a, c in rep.numerator.terms:
-        factors = [_binomial_poly(D[i] - 1 - a[i], D[i] - 1) for i in range(r)]
-        partial: dict[tuple[int, ...], Fraction] = {(): Fraction(c)}
-        for i in range(r):
-            nxt: dict[tuple[int, ...], Fraction] = {}
+        partial: dict[tuple[int, ...], int] = {(): c}
+        for Di, ai in zip(D, a):
+            f = factors.get((Di, ai))
+            if f is None:
+                f = factors[Di, ai] = _shifted_rising_factorial(Di - 1, ai)
+            nxt: dict[tuple[int, ...], int] = {}
             for e, v in partial.items():
-                for k, fc in enumerate(factors[i]):
-                    if fc == 0:
-                        continue
+                for k, fc in f:
                     ne = e + (k,)
-                    nxt[ne] = nxt.get(ne, Fraction(0)) + v * fc
+                    nxt[ne] = nxt.get(ne, 0) + v * fc
             partial = nxt
         for e, v in partial.items():
-            if v:
-                cur = coeffs.get(e, Fraction(0)) + v
-                if cur:
-                    coeffs[e] = cur
-                else:
-                    coeffs.pop(e, None)
+            scaled[e] = scaled.get(e, 0) + v
+    L = math.prod(math.factorial(Di - 1) for Di in D)
+    coeffs = {e: Fraction(v, L) for e, v in scaled.items() if v}
     threshold = rep.numerator.max_exponents()
     return HilbertPolynomialRep(
         ring=ring, coefficients=coeffs, validity_threshold=threshold
     )
+
+
+def _shifted_rising_factorial(k: int, a: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (power, coefficient) pairs of prod_{j=1}^{k} (X - a + j)."""
+    coeffs = [1]
+    for j in range(1, k + 1):
+        const = j - a
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] += c * const
+            nxt[i + 1] += c
+        coeffs = nxt
+    return tuple((i, c) for i, c in enumerate(coeffs) if c)
 
 
 # ---------------------------------------------------------------------------

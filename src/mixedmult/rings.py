@@ -65,14 +65,11 @@ class RingSpec:
         object.__setattr__(self, "_vars", tuple(flat))
         index = {name: i for i, name in enumerate(flat)}
         object.__setattr__(self, "_index", index)
-        block_of: list[int] = []
         slices: list[tuple[int, int]] = []
         start = 0
-        for bi, b in enumerate(blocks):
-            block_of.extend([bi] * len(b))
+        for b in blocks:
             slices.append((start, start + len(b)))
             start += len(b)
-        object.__setattr__(self, "_block_of", tuple(block_of))
         object.__setattr__(self, "_slices", tuple(slices))
 
     @property
@@ -101,9 +98,6 @@ class RingSpec:
             return self._index[name]
         except KeyError:
             raise ParseError(f"unknown identifier {name!r}") from None
-
-    def block_of_var(self, index: int) -> int:
-        return self._block_of[index]
 
     def multidegree_of(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """Per-block exponent sums of a monomial."""
@@ -306,19 +300,22 @@ class Polynomial:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
 
-    def lead_exps(self, order: Optional[TermOrder] = None) -> tuple[int, ...]:
+    def lead_term(
+        self, order: Optional[TermOrder] = None
+    ) -> tuple[tuple[int, ...], int]:
+        """(exponents, coefficient) of the leading term under ``order``."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         if order is None or order.kind == "degrevlex":
-            return self.terms[0][0]
-        return max((e for e, _ in self.terms), key=order.key)
+            return self.terms[0]
+        key = order.key
+        return max(self.terms, key=lambda t: key(t[0]))
+
+    def lead_exps(self, order: Optional[TermOrder] = None) -> tuple[int, ...]:
+        return self.lead_term(order)[0]
 
     def lead_coeff(self, order: Optional[TermOrder] = None) -> int:
-        le = self.lead_exps(order)
-        for e, c in self.terms:
-            if e == le:
-                return c
-        raise AssertionError("unreachable")
+        return self.lead_term(order)[1]
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -328,14 +325,17 @@ class Polynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def monic(self, order: Optional[TermOrder] = None) -> "Polynomial":
-        if not self.terms:
-            return self
+    def monic(
+        self, order: Optional[TermOrder] = None
+    ) -> tuple["Polynomial", tuple[int, ...]]:
+        """(self scaled to leading coefficient 1 under ``order``, its leading
+        exponents), from one look-up of the leading term."""
+        lead, c = self.lead_term(order)
+        if c == 1:
+            return self, lead
         p = self.ring.characteristic
-        inv = pow(self.lead_coeff(order), p - 2, p)
-        if inv == 1:
-            return self
-        return Polynomial(self.ring, ((e, c * inv) for e, c in self.terms))
+        inv = pow(c, p - 2, p)
+        return Polynomial(self.ring, ((e, v * inv) for e, v in self.terms)), lead
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -1,6 +1,10 @@
 """Shared ring and ideal builders used across the test suite."""
 
+import math
+from fractions import Fraction
+
 from mixedmult import (
+    HilbertPolynomialRep,
     Ideal,
     Polynomial,
     Prng,
@@ -8,6 +12,7 @@ from mixedmult import (
     elimination_ideal,
     groebner_basis,
     ideal_intersection,
+    k_polynomial,
     parse_polynomial,
 )
 from mixedmult.groebner import _lift, _project
@@ -133,3 +138,54 @@ def per_generator_saturation(J: Ideal, K: Ideal) -> Ideal:
             inter = ideal_intersection(result, part)
             result = Ideal(J.ring, groebner_basis(inter).elements)
     return Ideal(J.ring, groebner_basis(result).elements)
+
+
+def _binomial_poly(shift: int, k: int) -> list[Fraction]:
+    """Coefficients (ascending) of C(X + shift, k) as a polynomial in X."""
+    coeffs = [Fraction(1)]
+    for j in range(1, k + 1):
+        # multiply by (X + shift - k + j)
+        const = Fraction(shift - k + j)
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] += c * const
+            nxt[i + 1] += c
+        coeffs = nxt
+    inv = Fraction(1, math.factorial(k))
+    return [c * inv for c in coeffs]
+
+
+def fraction_hilbert_polynomial(J: Ideal) -> HilbertPolynomialRep:
+    """Reference Hilbert polynomial: every numerator term expanded in Fractions.
+
+    Each term c*t^a contributes c * prod_i C(X_i + D_i-1-a_i, D_i-1), each
+    binomial expanded with rational coefficients and summed as it goes.
+    """
+    rep = k_polynomial(J)
+    ring = J.ring
+    D = ring.block_sizes
+    r = ring.r
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for a, c in rep.numerator.terms:
+        factors = [_binomial_poly(D[i] - 1 - a[i], D[i] - 1) for i in range(r)]
+        partial: dict[tuple[int, ...], Fraction] = {(): Fraction(c)}
+        for i in range(r):
+            nxt: dict[tuple[int, ...], Fraction] = {}
+            for e, v in partial.items():
+                for k, fc in enumerate(factors[i]):
+                    if fc == 0:
+                        continue
+                    ne = e + (k,)
+                    nxt[ne] = nxt.get(ne, Fraction(0)) + v * fc
+            partial = nxt
+        for e, v in partial.items():
+            if v:
+                cur = coeffs.get(e, Fraction(0)) + v
+                if cur:
+                    coeffs[e] = cur
+                else:
+                    coeffs.pop(e, None)
+    threshold = rep.numerator.max_exponents()
+    return HilbertPolynomialRep(
+        ring=ring, coefficients=coeffs, validity_threshold=threshold
+    )

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mixedmult import (
     EnumerationGuardError,
@@ -28,6 +28,7 @@ from mixedmult import (
 )
 
 from helpers import (
+    fraction_hilbert_polynomial,
     hitting_set_dimension,
     mk,
     p1xp1,
@@ -350,6 +351,42 @@ def test_polynomial_matches_pieces_beyond_threshold():
             for db in range(4):
                 nu = (base[0] + da, base[1] + db)
                 assert poly.evaluate_int(nu) == graded_piece_dim(J, nu)
+
+
+@st.composite
+def shifted_monomial_ideals(draw) -> Ideal:
+    """Monomial ideals in 1-3 blocks (some of one variable), or the unit
+    ideal, with a drawn shift whose entries may be negative."""
+    J = draw(monomial_ideals())
+    ring = J.ring
+    gens = J.generators
+    if draw(st.integers(0, 7)) == 0:
+        gens = (Polynomial.one(ring),)
+    shift = draw(
+        st.none() | st.tuples(*(st.integers(-3, 3) for _ in range(ring.r)))
+    )
+    return Ideal(ring, gens, shift=shift)
+
+
+@given(J=shifted_monomial_ideals())
+@example(J=mk(R, "1", shift=(-1, 2)))
+def test_polynomial_matches_fraction_oracle(J):
+    poly = hilbert_polynomial(J)
+    expected = fraction_hilbert_polynomial(J)
+    assert poly.coefficients == expected.coefficients
+    assert poly.validity_threshold == expected.validity_threshold
+    assert all(isinstance(c, Fraction) and c for c in poly.coefficients.values())
+
+
+def test_polynomial_with_one_variable_blocks_and_negative_shift():
+    ring = ring_blocks(("x0",), ("y0", "y1", "y2"), ("z0",))
+    J = mk(ring, "x0*y0^2", "y1*z0", shift=(-2, 1, -1))
+    poly = hilbert_polynomial(J)
+    assert poly.coefficients == fraction_hilbert_polynomial(J).coefficients
+    assert any(x < 0 for x in k_polynomial(J).numerator.min_exponents())
+    base = tuple(max(t, 0) for t in poly.validity_threshold)
+    for nu in (base, tuple(t + 1 for t in base), tuple(t + 2 for t in base)):
+        assert poly.evaluate_int(nu) == graded_piece_dim(J, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,9 @@ def test_mono_mul_overflow():
 
 def test_monic_normalizes_lead_coefficient():
     p = pp(R, "3*x0*y1 - 6*x1*y0")
-    m = p.monic()
+    m, lead = p.monic()
     assert m.lead_coeff() == 1
+    assert lead == p.lead_exps()
     assert pp(R, "-6") * m == p
 
 
