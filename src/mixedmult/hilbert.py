@@ -85,13 +85,15 @@ class HilbertPolynomialRep:
         return max(sum(e) for e in self.coefficients)
 
     def evaluate(self, nu: tuple[int, ...]) -> Fraction:
-        acc = Fraction(0)
+        """Exact value at nu: integer numerators over the common
+        denominator L of the coefficients, summed, then divided once."""
+        L = math.lcm(*(c.denominator for c in self.coefficients.values()))
+        acc = 0
         for e, c in self.coefficients.items():
-            term = c
-            for x, k in zip(nu, e):
-                term *= Fraction(x) ** k
-            acc += term
-        return acc
+            acc += c.numerator * (L // c.denominator) * math.prod(
+                x**k for x, k in zip(nu, e)
+            )
+        return Fraction(acc, L)
 
     def evaluate_int(self, nu: tuple[int, ...]) -> int:
         v = self.evaluate(nu)

@@ -2,12 +2,16 @@
 
 A map P^d -> P^n is given by n+1 forms of one degree.  Its graph lives in
 P^d x P^n with bigraded defining ideal obtained by eliminating t from
-(y_i - t f_i); the projective degrees are the multidegrees of the graph
-at types (i, d-i).  For maps presented by a Hilbert-Burch matrix or by an
-odd alternating matrix there are closed formulas for the whole degree
-vector, implemented here next to the elimination route so the two can be
-played against each other.  The saturated-fiber probe estimates d_0 from
-the growth of saturated power pieces.
+(y_i - t f_i); each generator g is then checked to vanish on the graph,
+g(x, t f) = 0, one y-degree part at a time in the source ring.  The
+projective degrees are the multidegrees of the graph at types (i, d-i).
+For maps presented by a Hilbert-Burch matrix or by an odd alternating
+matrix there are closed formulas for the whole degree vector, implemented
+here next to the elimination route so the two can be played against each
+other; their hypothesis G_{d+1} is a bound on Fitting heights, which for
+an alternating matrix are read from pfaffian ideals with the same zero
+sets as the ideals of minors.  The saturated-fiber probe estimates d_0
+from the growth of saturated power pieces.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import mul
 
 from .errors import InvariantViolation, NotMultihomogeneousError, PresentationMismatch
-from .groebner import Ideal, elimination_ideal, saturation
+from .groebner import Ideal, _lift, _project, elimination_ideal, saturation
 from .hilbert import graded_piece_dim, hilbert_polynomial, quotient_dimension
 from .multigraded import block_ideal, random_block_form, slice_degree
 from .prng import Prng
@@ -122,48 +126,69 @@ class RationalMapSpec:
 # Rees ideal and projective degrees
 
 
-def _pad(exps: tuple[int, ...], before: int, after: int) -> tuple[int, ...]:
-    return (0,) * before + exps + (0,) * after
+def _check_on_graph(F: RationalMapSpec, gens) -> None:
+    """Raise InvariantViolation unless every g(x, y) in gens vanishes on the
+    graph of F, i.e. g(x, t*f) = 0.
+
+    The check runs in the source ring.  It is exact because
+    g(x, t*f) = sum_b t^b * g_b(x, f), where g_b is the part of g of
+    y-degree b: each term c*x^a*y^e goes to c*x^a*f^e, summed per (b,
+    exponent), and every sum must vanish.  The products f^e are memoized
+    across gens in a dict local to the call.
+    """
+    nx = F.source_ring.nvars
+    p = F.source_ring.characteristic
+    fs = F.generators
+    f_pow: dict[tuple[int, ...], Polynomial] = {
+        (0,) * len(fs): Polynomial.one(F.source_ring)
+    }
+
+    def f_power(e: tuple[int, ...]) -> Polynomial:
+        if e not in f_pow:
+            i = max(k for k, v in enumerate(e) if v)
+            f_pow[e] = f_power(e[:i] + (e[i] - 1,) + e[i + 1:]) * fs[i]
+        return f_pow[e]
+
+    for g in gens:
+        acc: dict[tuple[int, tuple[int, ...]], int] = {}
+        for exps, c in g.terms:
+            a, e = exps[:nx], exps[nx:]
+            b = sum(e)
+            for fe, fc in f_power(e).terms:
+                key = (b, tuple(u + v for u, v in zip(a, fe)))
+                v = (acc.get(key, 0) + c * fc) % p
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+        if acc:
+            raise InvariantViolation(
+                f"Rees generator {g} does not vanish on the graph"
+            )
 
 
 def rees_ideal(F: RationalMapSpec) -> Ideal:
     """Bigraded defining ideal of the graph of F in P^d x P^n.
 
-    Computed by eliminating t from (y_0 - t f_0, ..., y_n - t f_n); every
-    returned generator is checked to vanish under y_i -> t f_i.
+    Computed by eliminating t from (y_0 - t f_0, ..., y_n - t f_n) in the
+    ring of x, y and t.  Every returned generator g is checked to vanish
+    on the graph, g(x, t*f) = 0, part by y-degree in the source ring
+    (``_check_on_graph``), and the ideal is checked to be bigraded.
     """
     graph = F.graph_ring()
     xs = F.source_vars
     ys = F.target_names()
     tname = _fresh_names(("t", "s", "tt"), 1, set(xs) | set(ys))[0]
-    work = RingSpec(
-        F.source_ring.characteristic, (xs, ys, (tname,))
-    )
-    nx, ny = len(xs), len(ys)
+    work = graph.extended(tname)
     t_poly = Polynomial.variable(work, tname)
-    lifted: list[Polynomial] = []
-    work_gens: list[Polynomial] = []
-    for i, f in enumerate(F.generators):
-        fw = Polynomial(work, ((_pad(e, 0, ny + 1), c) for e, c in f.terms))
-        lifted.append(fw)
-        yw = Polynomial.variable(work, ys[i])
-        work_gens.append(yw - t_poly * fw)
-    elim = elimination_ideal(Ideal(work, tuple(work_gens)), (tname,))
-    images = (
-        [Polynomial.variable(work, x) for x in xs]
-        + [t_poly * fw for fw in lifted]
-        + [t_poly]
+    work_gens = tuple(
+        Polynomial.variable(work, y) - t_poly * _lift(f, work)
+        for y, f in zip(ys, F.generators)
     )
-    projected: list[Polynomial] = []
-    for g in elim.generators:
-        if not g.substitute(work, images).is_zero():
-            raise InvariantViolation(
-                f"Rees generator {g} does not vanish on the graph"
-            )
-        projected.append(
-            Polynomial(graph, ((e[: nx + ny], c) for e, c in g.terms))
-        )
-    result = Ideal(graph, tuple(projected))
+    elim = elimination_ideal(Ideal(work, work_gens), (tname,))
+    projected = tuple(_project(g, graph) for g in elim.generators)
+    _check_on_graph(F, projected)
+    result = Ideal(graph, projected)
     try:
         result.require_multihomogeneous()
     except NotMultihomogeneousError as e:
@@ -463,6 +488,30 @@ def ideal_height(J: Ideal) -> int:
     return J.ring.nvars - quotient_dimension(J)
 
 
+def _fitting_zero_set(M: PresentationMatrix, i: int, submaximal) -> Ideal:
+    """An ideal with the zero set, hence the height, of Fitt_i(M).
+
+    For an alternating m x m matrix and 1 <= i < m it is Pf_2k, the ideal
+    of principal 2k-pfaffians with 2k = j + (j mod 2), j = m - i (see
+    ``check_G_condition``); ``submaximal`` is Pf_{m-1}, the regenerated
+    pfaffians.  Otherwise it is Fitt_i itself."""
+    rows, ring = M.entries, M.ring
+    m = len(rows)
+    j = m - i
+    if M.kind != "alternating" or j <= 0:
+        return fitting_ideal(M, i)
+    size = j + j % 2
+    if size == m - 1:
+        return Ideal(ring, tuple(submaximal))
+    return Ideal(
+        ring,
+        tuple(
+            _pf(tuple(tuple(rows[r][c] for c in keep) for r in keep), ring)
+            for keep in combinations(range(m), size)
+        ),
+    )
+
+
 def check_G_condition(F, M: PresentationMatrix, s: int) -> bool:
     """ht Fitt_i > i for 1 <= i < s, after verifying M presents F.
 
@@ -471,6 +520,21 @@ def check_G_condition(F, M: PresentationMatrix, s: int) -> bool:
     which are not maps onto a larger target).  The generators regenerated
     from M (signed minors or pfaffians) must match F's in order up to
     nonzero scalars.
+
+    For a Hilbert-Burch matrix each Fitt_i is the ideal of its minors.  For
+    an odd alternating m x m matrix no minor is expanded: with j = m - i,
+    Fitt_i = I_j (the j-minors), and for 1 <= i < m its height is read from
+    Pf_2k, the ideal of principal 2k-pfaffians, 2k = j + (j mod 2).  Pf_{m-1}
+    is the regenerated list itself; for i >= m, Fitt_i is the unit ideal.
+    Equal ideals (i = 2l - 1 and 2l share Pf_{m+1-2l}) are measured once.
+    Why ht I_j = ht Pf_2k: at every point of the algebraic closure the
+    matrix is alternating, so its rank is even, and that rank is the size
+    of its largest nonvanishing principal pfaffian.  Hence rank < j iff
+    rank < 2k iff every principal 2k-pfaffian vanishes, so
+    V(I_j) = V(Pf_2k).  The height of an ideal of a polynomial ring depends
+    only on its zero set over the algebraic closure, and extending the
+    field does not change it.  (Equivalently: I_{2k-1}, I_2k and Pf_2k have
+    the same radical; Buchsbaum-Eisenbud 1977.)
     """
     if isinstance(F, RationalMapSpec):
         declared = F.generators
@@ -497,8 +561,12 @@ def check_G_condition(F, M: PresentationMatrix, s: int) -> bool:
                 f"generator {i}: {f} is not a scalar multiple of the "
                 f"regenerated {g}"
             )
+    heights: dict[Ideal, int] = {}
     for i in range(1, s):
-        if ideal_height(fitting_ideal(M, i)) <= i:
+        J = _fitting_zero_set(M, i, regen)
+        if J not in heights:
+            heights[J] = ideal_height(J)
+        if heights[J] <= i:
             return False
     return True
 

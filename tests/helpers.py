@@ -6,6 +6,7 @@ from fractions import Fraction
 from mixedmult import (
     HilbertPolynomialRep,
     Ideal,
+    InvariantViolation,
     Polynomial,
     Prng,
     RingSpec,
@@ -16,6 +17,12 @@ from mixedmult import (
     parse_polynomial,
 )
 from mixedmult.groebner import _lift, _project
+from mixedmult.maps import (
+    PresentationMatrix,
+    RationalMapSpec,
+    fitting_ideal,
+    ideal_height,
+)
 from mixedmult.multigraded import block_ideal
 
 CHAR = 32003
@@ -189,3 +196,40 @@ def fraction_hilbert_polynomial(J: Ideal) -> HilbertPolynomialRep:
     return HilbertPolynomialRep(
         ring=ring, coefficients=coeffs, validity_threshold=threshold
     )
+
+
+def fraction_evaluate(rep: HilbertPolynomialRep, nu) -> Fraction:
+    """Reference value of a Hilbert polynomial at nu: every term's Fraction
+    powers multiplied out and summed term by term."""
+    acc = Fraction(0)
+    for e, c in rep.coefficients.items():
+        term = c
+        for x, k in zip(nu, e):
+            term *= Fraction(x) ** k
+        acc += term
+    return acc
+
+
+def minors_G_condition(M: PresentationMatrix, s: int) -> bool:
+    """Reference G_s test: ht Fitt_i > i for 1 <= i < s, every Fitting ideal
+    taken as the ideal of minors of M."""
+    return all(ideal_height(fitting_ideal(M, i)) > i for i in range(1, s))
+
+
+def work_ring_rees_check(F: RationalMapSpec, gens) -> None:
+    """Reference Rees check: each g(x, y) lifted to the ring of x, y and t
+    and substituted y_i -> t*f_i there; raises InvariantViolation unless
+    the image is zero."""
+    graph = F.graph_ring()
+    work = graph.extended("t")
+    t = Polynomial.variable(work, work.variables[-1])
+    images = (
+        [Polynomial.variable(work, x) for x in F.source_vars]
+        + [t * _lift(f, work) for f in F.generators]
+        + [t]
+    )
+    for g in gens:
+        if not _lift(g, work).substitute(work, images).is_zero():
+            raise InvariantViolation(
+                f"Rees generator {g} does not vanish on the graph"
+            )

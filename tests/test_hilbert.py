@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from mixedmult import (
     EnumerationGuardError,
+    HilbertPolynomialRep,
     HilbertSeriesRep,
     Ideal,
     InvariantViolation,
@@ -28,6 +29,7 @@ from mixedmult import (
 )
 
 from helpers import (
+    fraction_evaluate,
     fraction_hilbert_polynomial,
     hitting_set_dimension,
     mk,
@@ -387,6 +389,35 @@ def test_polynomial_with_one_variable_blocks_and_negative_shift():
     base = tuple(max(t, 0) for t in poly.validity_threshold)
     for nu in (base, tuple(t + 1 for t in base), tuple(t + 2 for t in base)):
         assert poly.evaluate_int(nu) == graded_piece_dim(J, nu)
+
+
+@st.composite
+def polynomial_reps(draw) -> HilbertPolynomialRep:
+    """Hilbert polynomials of drawn shifted ideals, or reps whose Fraction
+    coefficients (denominators up to 30) are drawn directly."""
+    if draw(st.booleans()):
+        return hilbert_polynomial(draw(shifted_monomial_ideals()))
+    r = draw(st.integers(1, 3))
+    ring = ring_blocks(*((f"b{i}_0", f"b{i}_1") for i in range(r)))
+    coeffs = draw(
+        st.dictionaries(
+            st.tuples(*(st.integers(0, 4) for _ in range(r))),
+            st.fractions(min_value=-50, max_value=50, max_denominator=30),
+            max_size=8,
+        )
+    )
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    return HilbertPolynomialRep(
+        ring=ring, coefficients=coeffs, validity_threshold=(0,) * r
+    )
+
+
+@given(rep=polynomial_reps(), data=st.data())
+def test_evaluate_matches_fraction_oracle(rep, data):
+    nu = data.draw(st.tuples(*(st.integers(-6, 12) for _ in range(rep.ring.r))))
+    value = rep.evaluate(nu)
+    assert isinstance(value, Fraction)
+    assert value == fraction_evaluate(rep, nu)
 
 
 # ---------------------------------------------------------------------------

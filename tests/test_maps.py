@@ -1,13 +1,24 @@
 """Tests for rational maps: graphs, degree vectors, presentations, formulas."""
 
-import pytest
+from functools import cache
 
-from helpers import CHAR, pp, ring_blocks
-from mixedmult.errors import PresentationMismatch
+import pytest
+from hypothesis import example, given, strategies as st
+
+from helpers import (
+    CHAR,
+    minors_G_condition,
+    pp,
+    ring_blocks,
+    work_ring_rees_check,
+)
+from mixedmult.errors import InvariantViolation, PresentationMismatch
 from mixedmult.groebner import Ideal
 from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
+    _check_on_graph,
+    _fitting_zero_set,
     check_G_condition,
     determinant,
     elementary_symmetric,
@@ -157,6 +168,61 @@ def test_rees_ideal_of_cremona_contains_known_binomials():
 def test_rees_ideal_generators_are_bihomogeneous():
     for g in rees_ideal(cremona_map()).generators:
         assert g.multidegree() is not None
+
+
+def pfaffian_map() -> RationalMapSpec:
+    ring = ring_blocks(tuple(f"x{i}" for i in range(4)))
+    M = random_alternating_matrix(ring, 5, 3)
+    return RationalMapSpec(ring, tuple(submaximal_pfaffians(M)))
+
+
+REES_MAPS = {"cremona": cremona_map, "conic": conic_map, "pfaffian": pfaffian_map}
+
+
+@cache
+def rees_case(name: str):
+    F = REES_MAPS[name]()
+    return F, rees_ideal(F).generators
+
+
+@pytest.mark.parametrize("name", sorted(REES_MAPS))
+def test_rees_check_passes_like_work_ring_oracle(name):
+    F, gens = rees_case(name)
+    assert gens
+    work_ring_rees_check(F, gens)
+    _check_on_graph(F, gens)
+
+
+def test_rees_check_splits_by_y_degree():
+    """y0 - x0 vanishes at y = f for the identity map but not at y = t*f:
+    its parts of y-degree 1 and 0 must vanish separately."""
+    F = identity_map()
+    g = parse_polynomial("y0 - x0", F.graph_ring())
+    with pytest.raises(InvariantViolation, match="does not vanish"):
+        work_ring_rees_check(F, (g,))
+    with pytest.raises(InvariantViolation, match="does not vanish"):
+        _check_on_graph(F, (g,))
+
+
+@given(
+    name=st.sampled_from(sorted(REES_MAPS)),
+    data=st.data(),
+    coeff=st.integers(1, CHAR - 1),
+)
+def test_rees_check_rejects_y_monomial_like_work_ring_oracle(name, data, coeff):
+    """A Rees generator plus c*y^e (e != 0) no longer vanishes on the graph:
+    its part of y-degree |e| picks up c*f^e.  Both checks must say so."""
+    F, gens = rees_case(name)
+    g = data.draw(st.sampled_from(gens))
+    nx, ny = F.source_ring.nvars, len(F.generators)
+    e = data.draw(
+        st.tuples(*(st.integers(0, 2) for _ in range(ny))).filter(any)
+    )
+    bad = g + Polynomial(g.ring, (((0,) * nx + e, coeff),))
+    with pytest.raises(InvariantViolation, match="does not vanish"):
+        work_ring_rees_check(F, (bad,))
+    with pytest.raises(InvariantViolation, match="does not vanish"):
+        _check_on_graph(F, gens[:1] + (bad,))
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +654,79 @@ def test_check_g_rejects_wrong_generator_count():
 def test_check_g_rejects_empty_sequence():
     with pytest.raises(ValueError, match="no generators"):
         check_G_condition((), cremona_matrix(), 2)
+
+
+@st.composite
+def alternating_matrices(draw) -> PresentationMatrix:
+    """Alternating 3x3 or 5x5 matrices of linear forms in 2-5 variables.
+
+    Many are sparse on purpose: the entries use only the first ``used``
+    variables and about one entry in three is zero, so low Fitting heights
+    (G failing) are common.  A 5x5 matrix whose entries involve 4-5
+    variables makes the minors oracle slow, so those come only from the
+    explicit examples."""
+    size = draw(st.sampled_from((5, 3)))
+    nvars = draw(st.sampled_from((5, 4, 3, 2)))
+    most = nvars if size == 3 else min(nvars, 3)
+    sparse = most < nvars or draw(st.booleans())
+    used = draw(st.integers(1, most)) if sparse else nvars
+    ring = ring_blocks(tuple(f"x{i}" for i in range(nvars)))
+    zero = Polynomial.zero(ring)
+    rows = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if sparse and draw(st.integers(0, 2)) == 0:
+                continue
+            coeffs = draw(
+                st.lists(st.integers(1, CHAR - 1), min_size=used, max_size=used)
+            )
+            h = Polynomial(
+                ring,
+                (
+                    (tuple(int(k == v) for k in range(nvars)), c)
+                    for v, c in enumerate(coeffs)
+                ),
+            )
+            rows[i][j], rows[j][i] = h, -h
+    return PresentationMatrix(
+        entries=tuple(tuple(r) for r in rows), kind="alternating"
+    )
+
+
+def generic_alternating(nvars: int, size: int) -> PresentationMatrix:
+    ring = ring_blocks(tuple(f"x{i}" for i in range(nvars)))
+    return random_alternating_matrix(ring, size, nvars)
+
+
+@given(M=alternating_matrices())
+@example(M=generic_alternating(4, 5))
+@example(M=generic_alternating(5, 5))
+@example(M=generic_alternating(3, 3))
+def test_pfaffian_heights_match_minor_oracle(M):
+    """Each ht Fitt_i read from a pfaffian ideal equals the height of the
+    ideal of minors, and the G_s verdict matches for every s."""
+    gens = submaximal_pfaffians(M)
+    m = len(M.entries)
+    for i in range(1, m + 1):
+        J = _fitting_zero_set(M, i, gens)
+        assert ideal_height(J) == ideal_height(fitting_ideal(M, i))
+    for s in range(1, m + 2):
+        assert check_G_condition(gens, M, s) == minors_G_condition(M, s)
+
+
+def test_check_g_stretch_map():
+    """The 7x7 pfaffian map P^4 -> P^6 satisfies G_5 (= G_{d+1}), with
+    Fitting heights 3, 3, 5, 5 for i = 1..4."""
+    ring = ring_blocks(tuple(f"x{i}" for i in range(5)))
+    M = random_alternating_matrix(ring, 7, 1)
+    gens = submaximal_pfaffians(M)
+    F = RationalMapSpec(ring, tuple(gens))
+    assert (F.d, F.n) == (4, 6)
+    assert check_G_condition(F, M, 5) is True
+    heights = tuple(
+        ideal_height(_fitting_zero_set(M, i, gens)) for i in range(1, 5)
+    )
+    assert heights == (3, 3, 5, 5)
 
 
 # ---------------------------------------------------------------------------
