@@ -8,6 +8,21 @@ elimination order.  Intersection, colon and saturation append helper
 variables, eliminate them and drop them before returning: intersection (and
 the colon built on it) uses one helper, saturation one helper per generator
 of the saturating ideal.
+
+Reduction keeps the heap comparison and the monomial arithmetic cheap, as
+in Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011):
+terms wait on a min-heap keyed by ``TermOrder.heap_key``, the order key
+negated in one step, and exponents are combined by ``map`` over
+``operator`` functions, which runs in C.
+
+Every ideal returned by elimination, intersection, colon or saturation
+holds its reduced degrevlex basis, and ``groebner_basis`` returns that
+basis without a second Buchberger run.  For elimination the reason is the
+order: restricted to monomials free of the drop variables the elimination
+order is degrevlex, so the drop-free part of the reduced elimination basis
+is the reduced degrevlex basis of the eliminated ideal.  Dropping trailing
+helper variables keeps degrevlex comparisons, so the projection to the
+original ring keeps that basis; the colon is read from a degrevlex run.
 """
 
 from __future__ import annotations
@@ -15,6 +30,7 @@ from __future__ import annotations
 import heapq
 import os
 from functools import lru_cache
+from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotMultihomogeneousError, PairBudgetExceeded
@@ -67,10 +83,13 @@ class Ideal:
     Generators keep their given order (zero generators dropped, duplicates
     removed); ``shift`` decorates the cyclic module B/J(-shift) and plays no
     role in set-theoretic operations.  Structural equality; use
-    ``same_ideal`` for mathematical equality.
+    ``same_ideal`` for mathematical equality.  An ideal returned by
+    elimination, intersection, colon or saturation holds its reduced
+    degrevlex basis (``_holding``), which ``groebner_basis`` returns without
+    a Buchberger run; the held basis takes no part in equality or hashing.
     """
 
-    __slots__ = ("ring", "generators", "shift", "_hash")
+    __slots__ = ("ring", "generators", "shift", "_hash", "_basis")
 
     def __init__(
         self,
@@ -95,6 +114,7 @@ class Ideal:
                 raise ValueError("shift length must equal the number of blocks")
         self.shift = shift
         self._hash = None
+        self._basis: Optional[GroebnerBasis] = None
 
     def __eq__(self, other):
         return (
@@ -115,7 +135,9 @@ class Ideal:
         return f"Ideal(({gens}){tail})"
 
     def with_shift(self, shift: Optional[tuple[int, ...]]) -> "Ideal":
-        return Ideal(self.ring, self.generators, shift)
+        out = Ideal(self.ring, self.generators, shift)
+        out._basis = self._basis
+        return out
 
     def multidegrees(self) -> tuple:
         return tuple(g.multidegree() for g in self.generators)
@@ -185,13 +207,6 @@ class GroebnerBasis:
 # Reduction
 
 
-def _neg_key(k: tuple) -> tuple:
-    """Componentwise negation of an order key, for min-heap max extraction."""
-    return tuple(
-        -c if isinstance(c, int) else tuple(-x for x in c) for c in k
-    )
-
-
 def _full_reduce(
     work: dict,
     entries: list,
@@ -206,37 +221,36 @@ def _full_reduce(
     (remainder dict, sugar).  Deterministic: the current largest term is
     reduced by the first entry (in list order) whose lead divides it.
     """
-    key = order.key
-    heap = [(_neg_key(key(e)), e) for e in work]
+    heap_key = order.heap_key
+    heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    track_sugar = sugar is not None and sugars is not None
     remainder: dict = {}
     while heap:
-        _, e = heapq.heappop(heap)
-        if e not in work:
+        e = heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
             continue
-        c = work.pop(e)
-        reducer = None
         for idx, (lead, tail) in enumerate(entries):
-            if mono_divides(lead, e):
-                reducer = (idx, lead, tail)
+            if all(map(le, lead, e)):
                 break
-        if reducer is None:
+        else:
             remainder[e] = c
             continue
-        idx, lead, tail = reducer
-        q = mono_div(e, lead)
-        if sugar is not None and sugars is not None:
+        q = tuple(map(sub, e, lead))
+        if track_sugar:
             s = sugars[idx] + sum(q)
             if s > sugar:
                 sugar = s
         for te, tc in tail:
-            ne = tuple(x + y for x, y in zip(q, te))
+            ne = tuple(map(add, q, te))
             prev = work.get(ne)
             if prev is None:
                 v = (-c * tc) % p
                 if v:
                     work[ne] = v
-                    heapq.heappush(heap, (_neg_key(key(ne)), ne))
+                    heappush(heap, (heap_key(ne), ne))
             else:
                 v = (prev - c * tc) % p
                 if v:
@@ -268,11 +282,16 @@ def groebner_basis(
     entry, and since the resolved budget is part of the key a basis computed
     under one budget is never returned under a smaller one.  The memo is a
     bounded LRU; ``_buchberger.cache_info()`` reads its hits and misses and
-    ``_buchberger.cache_clear()`` empties it.
+    ``_buchberger.cache_clear()`` empties it.  An ``Ideal`` that holds its
+    reduced degrevlex basis (see ``_holding``) gets that basis back under
+    degrevlex with no run, so no pair budget applies to it.
     """
     if isinstance(J, Ideal):
         ring = J.ring
         gens = J.generators
+        held = J._basis
+        if held is not None and (order is None or order == held.order):
+            return held
     else:
         gens = tuple(J)
         if not gens:
@@ -399,10 +418,10 @@ def _buchberger(
         qj = mono_div(lij, lj)
         work: dict = {}
         for te, tc in tail_i:
-            e = tuple(x + y for x, y in zip(qi, te))
+            e = tuple(map(add, qi, te))
             work[e] = work.get(e, 0) + tc
         for te, tc in tail_j:
-            e = tuple(x + y for x, y in zip(qj, te))
+            e = tuple(map(add, qj, te))
             work[e] = work.get(e, 0) - tc
         work = {e: c % p for e, c in work.items() if c % p}
         red, sg = _full_reduce(work, entries, order, p, sugar=s_sugar, sugars=sugars)
@@ -448,8 +467,33 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
 # Elimination and the derived ideal operations
 
 
+def _holding(
+    ring: RingSpec, elements: Sequence[Polynomial], leads: Sequence[tuple[int, ...]]
+) -> Ideal:
+    """The ideal generated by ``elements``, holding them as its basis.
+
+    ``elements`` must be the reduced degrevlex basis of the ideal they
+    generate, sorted by leading term, with leading exponents ``leads``;
+    ``groebner_basis`` then returns them without a Buchberger run.
+    """
+    J = Ideal(ring, elements)
+    J._basis = GroebnerBasis._with_leads(
+        ring, degrevlex_order(ring), J.generators, leads
+    )
+    return J
+
+
 def elimination_ideal(J: Ideal, drop_names: Iterable[str]) -> Ideal:
-    """Generators of J intersected with the subring omitting ``drop_names``."""
+    """J intersected with the subring omitting ``drop_names``, generated by
+    (and holding) its reduced degrevlex basis.
+
+    The generators are the drop-free elements of the reduced elimination
+    basis, in its order.  They are that basis because the elimination order
+    restricted to drop-free monomials is degrevlex on the kept variables,
+    which is degrevlex on the whole ring for monomials that are zero at
+    every drop variable: so they are reduced, monic and sorted by degrevlex
+    leading term, with the leading exponents the elimination run found.
+    """
     drop = tuple(dict.fromkeys(drop_names))
     if not drop:
         return J
@@ -458,11 +502,11 @@ def elimination_ideal(J: Ideal, drop_names: Iterable[str]) -> Ideal:
     order = elimination_order(ring, drop)
     G = groebner_basis(J, order)
     kept = [
-        g
-        for g in G.elements
+        (g, lead)
+        for g, lead in zip(G.elements, G.leading_exps)
         if all(all(e[i] == 0 for i in indices) for e, _ in g.terms)
     ]
-    return Ideal(ring, kept)
+    return _holding(ring, [g for g, _ in kept], [lead for _, lead in kept])
 
 
 def _lift(p: Polynomial, ext: RingSpec) -> Polynomial:
@@ -480,21 +524,35 @@ def _project(p: Polynomial, ring: RingSpec) -> Polynomial:
     return Polynomial(ring, ((e[:n], c) for e, c in p.terms))
 
 
+def _drop_helpers(eliminated: Ideal, ring: RingSpec) -> Ideal:
+    """The result of ``elimination_ideal`` over ``ring`` extended by trailing
+    helpers, projected back to ``ring`` with its held basis.
+
+    Dropping trailing zero exponents keeps degrevlex comparisons, so the
+    projected basis is still the reduced degrevlex basis, in the same order.
+    """
+    n = ring.nvars
+    return _holding(
+        ring,
+        [_project(g, ring) for g in eliminated.generators],
+        [lead[:n] for lead in eliminated._basis.leading_exps],
+    )
+
+
 def ideal_intersection(J1: Ideal, J2: Ideal) -> Ideal:
     """J1 ∩ J2 via w·J1 + (1−w)·J2, eliminating the helper w."""
     if J1.ring != J2.ring:
         raise ValueError("ideals over different rings")
     ring = J1.ring
     if not J1.generators or not J2.generators:
-        return Ideal(ring, ())
+        return _holding(ring, (), ())
     ext = ring.extended("_w")
     wname = ext.variables[-1]
     w = Polynomial.variable(ext, wname)
     one_minus_w = Polynomial.one(ext) - w
     gens = [w * _lift(g, ext) for g in J1.generators]
     gens += [one_minus_w * _lift(g, ext) for g in J2.generators]
-    eliminated = elimination_ideal(Ideal(ext, gens), (wname,))
-    return Ideal(ring, [_project(g, ring) for g in eliminated.generators])
+    return _drop_helpers(elimination_ideal(Ideal(ext, gens), (wname,)), ring)
 
 
 def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -523,12 +581,14 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     if f.is_zero():
         raise ValueError("colon by zero")
     if f.is_constant():
-        return Ideal(J.ring, groebner_basis(J).elements)
-    if not J.generators:
-        return Ideal(J.ring, ())
-    inter = ideal_intersection(J, Ideal(J.ring, (f,)))
-    gens = [_exact_divide(g, f) for g in inter.generators]
-    return Ideal(J.ring, groebner_basis(Ideal(J.ring, gens)).elements)
+        G = groebner_basis(J)
+    elif not J.generators:
+        return _holding(J.ring, (), ())
+    else:
+        inter = ideal_intersection(J, Ideal(J.ring, (f,)))
+        gens = [_exact_divide(g, f) for g in inter.generators]
+        G = groebner_basis(Ideal(J.ring, gens))
+    return _holding(J.ring, G.elements, G.leading_exps)
 
 
 def saturation(J: Ideal, K: Ideal) -> Ideal:
@@ -540,7 +600,8 @@ def saturation(J: Ideal, K: Ideal) -> Ideal:
     w_l ↦ 1/k_l and w_j ↦ 0 (j ≠ l) put g in J·R_{k_l} for every l.
     The helper-free part of the reduced elimination basis is already the
     reduced degrevlex basis, since the elimination order restricted to R is
-    degrevlex.
+    degrevlex; the result holds it, so ``groebner_basis`` of the result
+    runs no second Buchberger.
     """
     if J.ring != K.ring:
         raise ValueError("ideals over different rings")
@@ -553,5 +614,4 @@ def saturation(J: Ideal, K: Ideal) -> Ideal:
     for name, k in zip(helpers, K.generators):
         rabinowitsch = rabinowitsch - Polynomial.variable(ext, name) * _lift(k, ext)
     gens = [_lift(g, ext) for g in J.generators] + [rabinowitsch]
-    eliminated = elimination_ideal(Ideal(ext, gens), helpers)
-    return Ideal(ring, [_project(g, ring) for g in eliminated.generators])
+    return _drop_helpers(elimination_ideal(Ideal(ext, gens), helpers), ring)

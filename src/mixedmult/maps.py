@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import mul
 
 from .errors import InvariantViolation, NotMultihomogeneousError, PresentationMismatch
-from .groebner import Ideal, _lift, _project, elimination_ideal, saturation
+from .groebner import Ideal, _drop_helpers, _lift, elimination_ideal, saturation
 from .hilbert import graded_piece_dim, hilbert_polynomial, quotient_dimension
 from .multigraded import block_ideal, random_block_form, slice_degree
 from .prng import Prng
@@ -173,7 +173,11 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
     Computed by eliminating t from (y_0 - t f_0, ..., y_n - t f_n) in the
     ring of x, y and t.  Every returned generator g is checked to vanish
     on the graph, g(x, t*f) = 0, part by y-degree in the source ring
-    (``_check_on_graph``), and the ideal is checked to be bigraded.
+    (``_check_on_graph``), and the ideal is checked to be bigraded.  The
+    generators are the reduced degrevlex basis of the ideal and the result
+    holds it: t is the trailing variable, so the t-free part of the reduced
+    elimination basis, projected, is that basis (``groebner._drop_helpers``),
+    and ``hilbert_polynomial`` of the result runs no second Buchberger.
     """
     graph = F.graph_ring()
     xs = F.source_vars
@@ -186,9 +190,8 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
         for y, f in zip(ys, F.generators)
     )
     elim = elimination_ideal(Ideal(work, work_gens), (tname,))
-    projected = tuple(_project(g, graph) for g in elim.generators)
-    _check_on_graph(F, projected)
-    result = Ideal(graph, projected)
+    result = _drop_helpers(elim, graph)
+    _check_on_graph(F, result.generators)
     try:
         result.require_multihomogeneous()
     except NotMultihomogeneousError as e:

@@ -12,6 +12,7 @@ orders (degrevlex and block elimination), and the expression parser.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ExponentOverflow, ParseError
@@ -131,7 +132,7 @@ class TermOrder:
     every monomial free of them.
     """
 
-    __slots__ = ("kind", "nvars", "drop", "_drop_list", "_keep_list")
+    __slots__ = ("kind", "nvars", "drop", "_drop_rev", "_keep_rev")
 
     def __init__(self, kind: str, nvars: int, drop: Iterable[int] = ()):
         if kind not in ("degrevlex", "elim"):
@@ -146,21 +147,28 @@ class TermOrder:
         if any(i < 0 or i >= nvars for i in self.drop):
             raise ValueError("drop index out of range")
         dropset = set(self.drop)
-        self._drop_list = self.drop
-        self._keep_list = tuple(i for i in range(nvars) if i not in dropset)
+        self._drop_rev = _reversed_getter(self.drop)
+        self._keep_rev = _reversed_getter(
+            tuple(i for i in range(nvars) if i not in dropset)
+        )
 
     def key(self, exps: tuple[int, ...]):
         """Sort key: larger key = larger monomial, injective on exponents."""
         if self.kind == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        d = tuple(exps[i] for i in self._drop_list)
-        k = tuple(exps[i] for i in self._keep_list)
-        return (
-            sum(d),
-            tuple(-e for e in reversed(d)),
-            sum(k),
-            tuple(-e for e in reversed(k)),
-        )
+            return (sum(exps), tuple(map(neg, exps[::-1])))
+        d = self._drop_rev(exps)
+        k = self._keep_rev(exps)
+        return (sum(d), tuple(map(neg, d)), sum(k), tuple(map(neg, k)))
+
+    def heap_key(self, exps: tuple[int, ...]):
+        """``key`` negated in every entry, built in one step: a min-heap on it
+        pops the largest monomial first.  Under degrevlex it is
+        (-|e|, e reversed)."""
+        if self.kind == "degrevlex":
+            return (-sum(exps), exps[::-1])
+        d = self._drop_rev(exps)
+        k = self._keep_rev(exps)
+        return (-sum(d), d, -sum(k), k)
 
     def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -179,6 +187,16 @@ class TermOrder:
         if self.kind == "degrevlex":
             return "TermOrder(degrevlex)"
         return f"TermOrder(elim, drop={self.drop})"
+
+
+def _reversed_getter(indices: tuple[int, ...]):
+    """C-level function taking exps to (exps[i] for i in reversed(indices))
+    as a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices[::-1])
+    # itemgetter of a single index would return a bare int, not a tuple
+    i = indices[0] if indices else 0
+    return itemgetter(slice(i, i + len(indices)))
 
 
 def degrevlex_order(ring: RingSpec) -> TermOrder:
@@ -201,29 +219,30 @@ def term_order_compare(order: TermOrder, a: tuple[int, ...], b: tuple[int, ...])
 
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = tuple(x + y for x, y in zip(a, b))
-    for e in out:
-        if e > MAX_EXPONENT:
-            raise ExponentOverflow(f"exponent {e} exceeds cap {MAX_EXPONENT}")
+    out = tuple(map(add, a, b))
+    if max(out, default=0) > MAX_EXPONENT:
+        e = next(e for e in out if e > MAX_EXPONENT)
+        raise ExponentOverflow(f"exponent {e} exceeds cap {MAX_EXPONENT}")
     return out
 
 
 def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    """No variable divides both (exponents are nonnegative)."""
+    return not any(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +271,16 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != ring.nvars:
                 raise ValueError("exponent vector length mismatch")
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError("negative exponent in polynomial")
-            if any(e > MAX_EXPONENT for e in exps):
+            if max(exps) > MAX_EXPONENT:
                 raise ExponentOverflow("exponent exceeds cap")
             v = (acc.get(exps, 0) + c) % p
             if v:
                 acc[exps] = v
             else:
                 acc.pop(exps, None)
-        key = _grevlex_key
-        self.terms = tuple(
-            (e, acc[e]) for e in sorted(acc, key=key, reverse=True)
-        )
+        self.terms = tuple((e, acc[e]) for e in sorted(acc, key=_grevlex_neg_key))
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -450,8 +466,9 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _grevlex_key(exps: tuple[int, ...]):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+def _grevlex_neg_key(exps: tuple[int, ...]):
+    """Degrevlex key negated: ascending order on it is descending degrevlex."""
+    return (-sum(exps), exps[::-1])
 
 
 def is_multihomogeneous(p: Polynomial) -> Union[tuple[int, ...], str, None]:

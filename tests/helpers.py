@@ -1,5 +1,6 @@
 """Shared ring and ideal builders used across the test suite."""
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from mixedmult import (
     k_polynomial,
     parse_polynomial,
 )
-from mixedmult.groebner import _lift, _project
+from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _buchberger, _lift, _project
 from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
@@ -24,6 +25,7 @@ from mixedmult.maps import (
     ideal_height,
 )
 from mixedmult.multigraded import block_ideal
+from mixedmult.rings import TermOrder, degrevlex_order
 
 CHAR = 32003
 
@@ -95,6 +97,19 @@ def hitting_set_dimension(exps, nvars: int) -> int:
         return memo[sets]
 
     return nvars - min_hitting_set(supports)
+
+
+def assert_holds_its_basis(J: Ideal) -> None:
+    """J holds its reduced degrevlex basis, ``groebner_basis`` returns it,
+    and it equals a new Buchberger run on J's generators (bypassing the
+    memo) in elements, order and leading exponents."""
+    fresh = _buchberger.__wrapped__(
+        J.ring, frozenset(J.generators), degrevlex_order(J.ring), DEFAULT_PAIR_BUDGET
+    )
+    held = groebner_basis(J)
+    assert held is J._basis
+    assert held.elements == fresh.elements == J.generators
+    assert held.leading_exps == fresh.leading_exps
 
 
 def intersection_irrelevant_ideal(ring: RingSpec) -> Ideal:
@@ -233,3 +248,75 @@ def work_ring_rees_check(F: RationalMapSpec, gens) -> None:
             raise InvariantViolation(
                 f"Rees generator {g} does not vanish on the graph"
             )
+
+
+def tuple_order_key(order: TermOrder, exps) -> tuple:
+    """Reference ``TermOrder.key``: every component built by a generator
+    expression over the drop and kept index lists."""
+    if order.kind == "degrevlex":
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+    dropset = set(order.drop)
+    d = tuple(exps[i] for i in order.drop)
+    k = tuple(exps[i] for i in range(order.nvars) if i not in dropset)
+    return (
+        sum(d),
+        tuple(-e for e in reversed(d)),
+        sum(k),
+        tuple(-e for e in reversed(k)),
+    )
+
+
+def neg_key(k: tuple) -> tuple:
+    """Reference heap key: componentwise negation of an order key, for
+    min-heap max extraction."""
+    return tuple(
+        -c if isinstance(c, int) else tuple(-x for x in c) for c in k
+    )
+
+
+def tuple_full_reduce(work, entries, order, p, sugar=None, sugars=None):
+    """Reference ``groebner._full_reduce``: heap keys negated from
+    ``order.key`` tuples, monomial arithmetic by generator expressions.
+
+    Same contract: tail-complete reduction of ``work`` (mutated) by monic
+    (lead, tail) entries, the largest term first, each by the first entry
+    whose lead divides it; returns (remainder dict, sugar).
+    """
+    key = order.key
+    heap = [(neg_key(key(e)), e) for e in work]
+    heapq.heapify(heap)
+    remainder: dict = {}
+    while heap:
+        _, e = heapq.heappop(heap)
+        if e not in work:
+            continue
+        c = work.pop(e)
+        reducer = None
+        for idx, (lead, tail) in enumerate(entries):
+            if all(x <= y for x, y in zip(lead, e)):
+                reducer = (idx, lead, tail)
+                break
+        if reducer is None:
+            remainder[e] = c
+            continue
+        idx, lead, tail = reducer
+        q = tuple(x - y for x, y in zip(e, lead))
+        if sugar is not None and sugars is not None:
+            s = sugars[idx] + sum(q)
+            if s > sugar:
+                sugar = s
+        for te, tc in tail:
+            ne = tuple(x + y for x, y in zip(q, te))
+            prev = work.get(ne)
+            if prev is None:
+                v = (-c * tc) % p
+                if v:
+                    work[ne] = v
+                    heapq.heappush(heap, (neg_key(key(ne)), ne))
+            else:
+                v = (prev - c * tc) % p
+                if v:
+                    work[ne] = v
+                else:
+                    del work[ne]
+    return remainder, sugar

@@ -22,8 +22,18 @@ from mixedmult import (
     set_pair_budget,
 )
 from mixedmult.groebner import DEFAULT_PAIR_BUDGET, resolve_pair_budget
+from mixedmult.rings import TermOrder
 
-from helpers import CHAR, mk, p1xp1, per_generator_saturation, pp, ring_blocks
+from helpers import (
+    CHAR,
+    assert_holds_its_basis,
+    mk,
+    p1xp1,
+    per_generator_saturation,
+    pp,
+    ring_blocks,
+    tuple_full_reduce,
+)
 
 R = p1xp1()
 RXY = ring_blocks(("x", "y"))
@@ -134,6 +144,50 @@ def test_membership_oracle_on_random_combinations():
         assert normal_form(combo, G).is_zero()
     assert not normal_form(pp(R, "x0"), G).is_zero()
     assert not normal_form(pp(R, "x0*y1"), G).is_zero()
+
+
+# Random reduction problems: 1-4 variables, exponents up to 3, a small
+# prime so that cancellations (and stale heap entries) are common.
+@st.composite
+def reduction_inputs(draw):
+    """(work, entries, order, p, sugar, sugars) for ``_full_reduce``.
+
+    Each entry is a monic polynomial split at its leading term under the
+    drawn order, so the reduction terminates; entries may repeat leads or
+    divide one another, which makes the first-divisor rule matter.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        order = TermOrder("degrevlex", n)
+    else:
+        drop = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        order = TermOrder("elim", n, drop)
+    p = draw(st.sampled_from((2, 3, 7, CHAR)))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.integers(1, p - 1)
+    entries = []
+    for terms in draw(
+        st.lists(st.dictionaries(monos, coeffs, min_size=1, max_size=4), max_size=4)
+    ):
+        lead = max(terms, key=order.key)
+        inv = pow(terms[lead], p - 2, p)
+        tail = tuple((e, c * inv % p) for e, c in terms.items() if e != lead)
+        entries.append((lead, tail))
+    work = draw(st.dictionaries(monos, coeffs, max_size=6))
+    if draw(st.booleans()):
+        sugar = draw(st.integers(0, 12))
+        sugars = [draw(st.integers(0, 12)) for _ in entries]
+    else:
+        sugar = sugars = None
+    return work, entries, order, p, sugar, sugars
+
+
+@settings(max_examples=300)
+@given(inputs=reduction_inputs())
+def test_full_reduce_matches_tuple_oracle(inputs):
+    work, entries, order, p, sugar, sugars = inputs
+    got = gb._full_reduce(dict(work), entries, order, p, sugar, sugars)
+    assert got == tuple_full_reduce(dict(work), entries, order, p, sugar, sugars)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +353,31 @@ def saturation_inputs(draw):
 def test_saturation_matches_per_generator_oracle(inputs):
     J, K = inputs
     assert saturation(J, K).generators == per_generator_saturation(J, K).generators
+
+
+@settings(max_examples=150)
+@given(inputs=saturation_inputs())
+def test_saturation_holds_its_reduced_basis(inputs):
+    J, K = inputs
+    sat = saturation(J, K)
+    assert_holds_its_basis(sat)
+    assert groebner_basis(sat.with_shift((1, -2))) is sat._basis
+    elim = TermOrder("elim", R3.nvars, (0,))
+    G = groebner_basis(sat, elim)
+    assert G.order == elim
+    assert G.elements == gb._buchberger.__wrapped__(
+        R3, frozenset(sat.generators), elim, DEFAULT_PAIR_BUDGET
+    ).elements
+
+
+@settings(max_examples=60)
+@given(inputs=saturation_inputs(), data=st.data())
+def test_elimination_intersection_and_colon_hold_their_bases(inputs, data):
+    J, K = inputs
+    drop = data.draw(st.sets(st.sampled_from(R3.variables), min_size=1))
+    assert_holds_its_basis(elimination_ideal(J, drop))
+    assert_holds_its_basis(ideal_intersection(J, K))
+    assert_holds_its_basis(ideal_quotient(J, K.generators[0]))
 
 
 def test_saturation_helpers_avoid_existing_names():

@@ -5,8 +5,10 @@ from functools import cache
 import pytest
 from hypothesis import example, given, strategies as st
 
+import mixedmult.groebner as gb
 from helpers import (
     CHAR,
+    assert_holds_its_basis,
     minors_G_condition,
     pp,
     ring_blocks,
@@ -223,6 +225,24 @@ def test_rees_check_rejects_y_monomial_like_work_ring_oracle(name, data, coeff):
         work_ring_rees_check(F, (bad,))
     with pytest.raises(InvariantViolation, match="does not vanish"):
         _check_on_graph(F, gens[:1] + (bad,))
+
+
+HELD_BASIS_MAPS = dict(REES_MAPS, twisted_cubic=cubic_map)
+
+
+@pytest.mark.parametrize("name", sorted(HELD_BASIS_MAPS))
+def test_rees_ideal_holds_its_reduced_basis(name):
+    assert_holds_its_basis(rees_ideal(HELD_BASIS_MAPS[name]()))
+
+
+@pytest.mark.parametrize("name", sorted(HELD_BASIS_MAPS))
+def test_elimination_degrees_run_one_buchberger(name):
+    """The Rees elimination is the only Groebner run: the Hilbert polynomial
+    reads the degrevlex basis the Rees ideal holds."""
+    F = HELD_BASIS_MAPS[name]()
+    gb._buchberger.cache_clear()
+    projective_degrees(F, "elimination")
+    assert gb._buchberger.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

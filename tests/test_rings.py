@@ -17,9 +17,18 @@ from mixedmult import (
     render_polynomial,
     term_order_compare,
 )
-from mixedmult.rings import MAX_EXPONENT, mono_mul
+from mixedmult.rings import (
+    MAX_EXPONENT,
+    TermOrder,
+    _grevlex_neg_key,
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
-from helpers import CHAR, mk, p1xp1, pp, ring_blocks
+from helpers import CHAR, mk, neg_key, p1xp1, pp, ring_blocks, tuple_order_key
 
 R = p1xp1()
 
@@ -236,6 +245,70 @@ def test_pow_and_overflow():
 def test_mono_mul_overflow():
     with pytest.raises(ExponentOverflow):
         mono_mul((MAX_EXPONENT, 0, 0, 0), (1, 0, 0, 0))
+    with pytest.raises(ExponentOverflow, match=f"exponent {MAX_EXPONENT + 2} "):
+        mono_mul((0, MAX_EXPONENT, 1), (0, 2, 0))
+    assert mono_mul((MAX_EXPONENT - 1, 0), (1, 3)) == (MAX_EXPONENT, 3)
+
+
+# Exponents from zero up to the cap, small ones most often.
+exponents = st.one_of(
+    st.integers(0, 3), st.just(MAX_EXPONENT), st.integers(0, MAX_EXPONENT)
+)
+
+
+@st.composite
+def orders_and_monomials(draw):
+    """A term order on 1-6 variables (degrevlex, or elimination with a
+    trailing, leading or scattered drop set) and 1-8 monomials, always
+    including the zero vector one time in three."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("degrevlex", "trailing", "leading", "scattered")))
+    if shape == "degrevlex":
+        order = TermOrder("degrevlex", n)
+    else:
+        if shape == "scattered":
+            drop = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        else:
+            k = draw(st.integers(1, n))
+            drop = range(n - k, n) if shape == "trailing" else range(k)
+        order = TermOrder("elim", n, drop)
+    monos = draw(st.lists(st.tuples(*[exponents] * n), min_size=1, max_size=8))
+    if draw(st.integers(0, 2)) == 0:
+        monos.append((0,) * n)
+    return order, monos
+
+
+@given(case=orders_and_monomials())
+def test_heap_key_is_the_negated_key(case):
+    order, monos = case
+    for e in monos:
+        assert order.key(e) == tuple_order_key(order, e)
+        assert order.heap_key(e) == neg_key(tuple_order_key(order, e))
+        if order.kind == "degrevlex":
+            assert _grevlex_neg_key(e) == order.heap_key(e)
+    by_heap = sorted(monos, key=order.heap_key)
+    assert by_heap == sorted(monos, key=lambda e: neg_key(order.key(e)))
+    assert by_heap == sorted(monos, key=order.key, reverse=True)
+
+
+@given(
+    pair=st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[exponents] * n)] * 2)
+    )
+)
+def test_monomial_helpers_match_componentwise_definitions(pair):
+    a, b = pair
+    assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
+    assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    assert mono_coprime(a, b) == all(x == 0 or y == 0 for x, y in zip(a, b))
+    if mono_divides(b, a):
+        assert mono_div(a, b) == tuple(x - y for x, y in zip(a, b))
+    total = tuple(x + y for x, y in zip(a, b))
+    if max(total) > MAX_EXPONENT:
+        with pytest.raises(ExponentOverflow):
+            mono_mul(a, b)
+    else:
+        assert mono_mul(a, b) == total
 
 
 def test_monic_normalizes_lead_coefficient():
