@@ -207,13 +207,6 @@ def elimination_order(ring: RingSpec, drop_names: Iterable[str]) -> TermOrder:
     return TermOrder("elim", ring.nvars, (ring.var_index(n) for n in drop_names))
 
 
-def term_order_compare(order: TermOrder, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """-1 / 0 / +1 for a < b, a == b, a > b under ``order``."""
-    if len(a) != order.nvars or len(b) != order.nvars:
-        raise ValueError("monomials not over the order's ring")
-    return order.compare(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Monomial helpers (monomials are plain exponent tuples)
 

@@ -18,6 +18,7 @@ from mixedmult import (
     parse_polynomial,
 )
 from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _buchberger, _lift, _project
+from mixedmult.hilbert import _minimalize
 from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
@@ -211,6 +212,69 @@ def fraction_hilbert_polynomial(J: Ideal) -> HilbertPolynomialRep:
     return HilbertPolynomialRep(
         ring=ring, coefficients=coeffs, validity_threshold=threshold
     )
+
+
+def generator_pivot_knum(gens, ring: RingSpec) -> dict:
+    """Reference K-polynomial numerator of a minimal monomial ideal, as a
+    dict over multidegrees: the generator-pivot recursion.
+
+    The pivot is a least-degree generator (ties: smallest in degrevlex)
+    among those containing the variable found in the most generators (ties:
+    lowest index); K(I' + m) = K(I') - t^deg(m) * K(I' : m).  Pairwise
+    coprime generators are tested pair by pair.  Memoized per call.
+    """
+    r = ring.r
+    memo: dict = {}
+
+    def neg_grevlex(e):
+        return tuple(-x for x in reversed(e))
+
+    def rec(gens):
+        if gens in memo:
+            return memo[gens]
+        if not gens:
+            return {(0,) * r: 1}
+        if any(sum(g) == 0 for g in gens):
+            return {}
+        pairwise_coprime = all(
+            all(a == 0 or b == 0 for a, b in zip(gens[i], gens[j]))
+            for i in range(len(gens))
+            for j in range(i + 1, len(gens))
+        )
+        if pairwise_coprime:
+            acc = {(0,) * r: 1}
+            for g in gens:
+                deg = ring.multidegree_of(g)
+                out: dict = {}
+                for e, c in acc.items():
+                    out[e] = out.get(e, 0) + c
+                    shifted = tuple(x + y for x, y in zip(e, deg))
+                    out[shifted] = out.get(shifted, 0) - c
+                acc = {e: c for e, c in out.items() if c}
+            memo[gens] = acc
+            return acc
+        nvars = len(gens[0])
+        counts = [sum(1 for g in gens if g[i]) for i in range(nvars)]
+        v = max(range(nvars), key=lambda i: (counts[i], -i))
+        carriers = [g for g in gens if g[v] > 0]
+        pivot = min(carriers, key=lambda g: (sum(g), neg_grevlex(g)))
+        rest = tuple(g for g in gens if g != pivot)
+        colon = _minimalize(
+            [tuple(max(x - y, 0) for x, y in zip(g, pivot)) for g in rest]
+        )
+        acc = dict(rec(rest))
+        deg = ring.multidegree_of(pivot)
+        for e, c in rec(colon).items():
+            shifted = tuple(x + y for x, y in zip(e, deg))
+            val = acc.get(shifted, 0) - c
+            if val:
+                acc[shifted] = val
+            else:
+                acc.pop(shifted, None)
+        memo[gens] = acc
+        return acc
+
+    return rec(tuple(gens))
 
 
 def fraction_evaluate(rep: HilbertPolynomialRep, nu) -> Fraction:

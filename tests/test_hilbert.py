@@ -27,10 +27,12 @@ from mixedmult import (
     series_coefficient,
     series_table,
 )
+from mixedmult.hilbert import _knum, _minimalize
 
 from helpers import (
     fraction_evaluate,
     fraction_hilbert_polynomial,
+    generator_pivot_knum,
     hitting_set_dimension,
     mk,
     p1xp1,
@@ -198,6 +200,86 @@ def test_k_polynomial_unknown_pivot_rule():
         k_polynomial(DIAGONAL, pivot_rule="sideways")
 
 
+@st.composite
+def shifted_monomial_ideals(draw) -> Ideal:
+    """Monomial ideals in 1-3 blocks (some of one variable), or the unit
+    ideal, with a drawn shift whose entries may be negative."""
+    J = draw(monomial_ideals())
+    ring = J.ring
+    gens = J.generators
+    if draw(st.integers(0, 7)) == 0:
+        gens = (Polynomial.one(ring),)
+    shift = draw(
+        st.none() | st.tuples(*(st.integers(-3, 3) for _ in range(ring.r)))
+    )
+    return Ideal(ring, gens, shift=shift)
+
+
+@st.composite
+def pivot_cases(draw):
+    """(minimal exponent tuples, ring) for the pivot-rule oracle: 1-3 blocks
+    (some of one variable), drawn so that some generators are pure powers
+    x_v^k, or every variable lies in equally many generators, or the ideal
+    is the zero or the unit ideal."""
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+            lambda s: sum(s) <= 7
+        )
+    )
+    nvars = sum(sizes)
+    ring = ring_blocks(
+        *(tuple(f"{b}{i}" for i in range(n)) for b, n in zip("xyz", sizes))
+    )
+    kind = draw(st.sampled_from(("mixed", "pure powers", "tied", "zero", "unit")))
+    if kind == "zero":
+        return (), ring
+    if kind == "unit":
+        return ((0,) * nvars,), ring
+    monomials = st.dictionaries(
+        st.integers(0, nvars - 1), st.integers(1, 3), min_size=1, max_size=3
+    ).map(lambda d: tuple(d.get(i, 0) for i in range(nvars)))
+    exps = draw(st.lists(monomials, min_size=1, max_size=3 if kind == "tied" else 7))
+    if kind == "pure powers":
+        powered = draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars))
+        for v in powered:
+            k = draw(st.integers(1, 3))
+            exps.append(tuple(k if i == v else 0 for i in range(nvars)))
+    if kind == "tied":
+        # closed under the cyclic shift of the variables: all counts are equal
+        exps = [e[j:] + e[:j] for e in exps for j in range(nvars)]
+    gens = _minimalize(exps)
+    if kind == "tied":
+        counts = {sum(1 for g in gens if g[i]) for i in range(nvars)}
+        assert len(counts) == 1
+    return gens, ring
+
+
+@given(case=pivot_cases())
+@example(case=(((2, 0, 0), (1, 1, 0), (1, 0, 1)), ring_blocks(("x0", "x1", "x2"))))
+@example(
+    case=(((1, 1, 0), (0, 1, 1), (1, 0, 1)), ring_blocks(("x0",), ("y0",), ("z0",)))
+)
+@example(case=(((0, 2), (1, 1), (2, 0)), ring_blocks(("x0",), ("y0",))))
+def test_pure_power_pivot_matches_generator_pivot_oracle(case):
+    gens, ring = case
+    expected = generator_pivot_knum(gens, ring)
+    assert _knum(gens, ring, "default") == expected
+    assert _knum(gens, ring, "antipodal") == expected
+
+
+@given(J=shifted_monomial_ideals())
+@example(J=mk(R, "x0*y1 - x1*y0", shift=(2, -1)))
+@example(J=mk(R, "1", shift=(0, 3)))
+@example(J=Ideal(R, (), shift=(-1, 1)))
+def test_k_polynomial_matches_generator_pivot_oracle(J):
+    gens = _minimalize(list(groebner_basis(J).leading_exps))
+    expected = LaurentPolyZ(J.ring.r, generator_pivot_knum(gens, J.ring).items())
+    if J.shift is not None:
+        expected = expected.shifted(J.shift)
+    assert k_polynomial(J).numerator == expected
+    assert k_polynomial(J, pivot_rule="antipodal").numerator == expected
+
+
 def test_series_coefficients_match_piece_dimensions():
     for J in (Ideal(R, ()), mk(R, "x0*y1"), mk(R, "x0*y0", "x0*y1"), nbar()):
         rep = k_polynomial(J)
@@ -353,21 +435,6 @@ def test_polynomial_matches_pieces_beyond_threshold():
             for db in range(4):
                 nu = (base[0] + da, base[1] + db)
                 assert poly.evaluate_int(nu) == graded_piece_dim(J, nu)
-
-
-@st.composite
-def shifted_monomial_ideals(draw) -> Ideal:
-    """Monomial ideals in 1-3 blocks (some of one variable), or the unit
-    ideal, with a drawn shift whose entries may be negative."""
-    J = draw(monomial_ideals())
-    ring = J.ring
-    gens = J.generators
-    if draw(st.integers(0, 7)) == 0:
-        gens = (Polynomial.one(ring),)
-    shift = draw(
-        st.none() | st.tuples(*(st.integers(-3, 3) for _ in range(ring.r)))
-    )
-    return Ideal(ring, gens, shift=shift)
 
 
 @given(J=shifted_monomial_ideals())
