@@ -62,6 +62,8 @@ def set_pair_budget(n: Optional[int]) -> None:
 
 def resolve_pair_budget(explicit: Optional[int] = None) -> int:
     if explicit is not None:
+        if explicit <= 0:
+            raise ValueError("pair budget must be positive")
         return explicit
     if _budget_override is not None:
         return _budget_override
@@ -284,8 +286,10 @@ def groebner_basis(
     bounded LRU; ``_buchberger.cache_info()`` reads its hits and misses and
     ``_buchberger.cache_clear()`` empties it.  An ``Ideal`` that holds its
     reduced degrevlex basis (see ``_holding``) gets that basis back under
-    degrevlex with no run, so no pair budget applies to it.
+    degrevlex with no run, so no pair budget limits it; the budget is still
+    resolved and validated first.
     """
+    budget = resolve_pair_budget(budget)
     if isinstance(J, Ideal):
         ring = J.ring
         gens = J.generators
@@ -299,7 +303,7 @@ def groebner_basis(
         ring = gens[0].ring
     if order is None:
         order = degrevlex_order(ring)
-    return _buchberger(ring, frozenset(gens), order, resolve_pair_budget(budget))
+    return _buchberger(ring, frozenset(gens), order, budget)
 
 
 # One benchmark pass of many small saturations makes under 800 distinct
@@ -330,23 +334,18 @@ def _buchberger(
         t = len(entries)
         lcms = [mono_lcm(leads[i], lead_t) for i in range(t)]
         # New pairs: scan candidates in index order, keep survivors (B-W Update).
-        candidates = list(range(t))
+        coprime = [mono_coprime(leads[i], lead_t) for i in range(t)]
         kept: list[int] = []
         removed = [False] * t
-        for i in candidates:
+        for i in range(t):
             li = lcms[i]
-            cop = mono_coprime(leads[i], lead_t)
-            if not cop:
+            if not coprime[i]:
+                # kept candidates are never removed, so this loop covers them
                 dominated = False
-                for j in candidates:
+                for j in range(t):
                     if j != i and not removed[j] and lcms[j] != li and mono_divides(lcms[j], li):
                         dominated = True
                         break
-                if not dominated:
-                    for j in kept:
-                        if mono_divides(lcms[j], li) and lcms[j] != li:
-                            dominated = True
-                            break
                 if dominated:
                     removed[i] = True
                     continue
@@ -355,15 +354,12 @@ def _buchberger(
                     removed[i] = True
                     continue
             kept.append(i)
-            removed[i] = False
         # Among kept pairs, drop those with coprime leads (product criterion),
         # and drop same-lcm partners of a coprime pair.
-        coprime_lcms = {
-            lcms[i] for i in kept if mono_coprime(leads[i], lead_t)
-        }
+        coprime_lcms = {lcms[i] for i in kept if coprime[i]}
         new_pairs = []
         for i in kept:
-            if mono_coprime(leads[i], lead_t):
+            if coprime[i]:
                 continue
             if lcms[i] in coprime_lcms:
                 continue

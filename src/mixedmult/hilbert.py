@@ -9,18 +9,19 @@ variable in the most generators, k its least positive exponent (Bigatti,
 K(I) = K(I + p) + t^deg(p) * K(I : p).  The "antipodal" rule pivots on a
 generator m of largest degree, K(I' + m) = K(I') - t^deg(m) * K(I' : m),
 and serves as an independent cross-check.
-Mixed multiplicities are read off the substitution t_i = 1 - s_i: every
-component of K(1-s) of total degree below codim vanishes (asserted), and
-the codim-degree coefficients are the multiplicities, indexed by type
-n = D - exponent - 1.  The Hilbert polynomial comes from the same
+Everything read at t = 1 comes from one expansion, the substitution
+t_i = 1 - s_i.  The series is K(1-s) / prod_i s_i^(D_i), so its pole order
+at s = 0 is the number of variables minus the degree c of the lowest
+nonzero homogeneous part of K(1-s): the Krull dimension is nvars - c.
+The coefficients of that part are the mixed multiplicities, indexed by
+type n = D - exponent - 1; read on the total-degree coarsening, the one
+coefficient is the coarsened multiplicity.  The leading-term ideal is
+monomial, hence multigraded, so the dimension reading holds for a
+non-homogeneous J as well.  The Hilbert polynomial comes from the same
 numerator: each term t^a over (1-t)^D contributes C(X + D-1-a, D-1), and
 (D-1)! times that is the integer product prod_{j=1}^{D-1} (X - a + j), so
 the expansion runs in integers and each coefficient is divided once by
-L = prod_i (D_i - 1)!.  The Krull dimension comes from the numerator too:
-it is the pole order at t = 1 of the total-degree coarsening, i.e. the
-number of variables minus the number of times (1-t) divides the coarsened
-numerator.  The leading-term ideal is monomial, hence multigraded, so this
-holds for a non-homogeneous J as well.
+L = prod_i (D_i - 1)!.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
-from operator import add
+from itertools import product
+from operator import add, le
 from typing import Optional
 
 from .errors import EnumerationGuardError, InvariantViolation
@@ -151,30 +152,45 @@ def _minimalize(gens: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 def _dimension_from_exps(gens: tuple[tuple[int, ...], ...], ring: RingSpec) -> int:
     """Krull dimension of the quotient by a monomial ideal; -1 for the zero ring."""
     num = _knum(_minimalize(list(gens)), ring, "default")
-    return _pole_at_one(LaurentPolyZ(ring.r, num.items()), ring.nvars)[0]
+    return _lowest_form(LaurentPolyZ(ring.r, num.items()).coarsened(), ring.nvars)[0]
 
 
-def _pole_at_one(numerator: LaurentPolyZ, nvars: int) -> tuple[int, int]:
-    """Dimension and multiplicity read off a series numerator.
+def _lowest_form(
+    numerator: LaurentPolyZ, nvars: int
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """Dimension and lowest nonzero homogeneous part of N(1-s).
 
-    The series is numerator / (1-t)^nvars after coarsening to total degree.
-    Divide the coarsened numerator by (1-t) while the remainder vanishes:
-    the dimension is nvars minus the number of divisions, the multiplicity
-    is the quotient at t = 1.  The zero numerator (zero ring) gives (-1, 0).
+    The series is N(t) / prod_i (1-t_i)^(D_i) with nvars = sum_i D_i, so
+    after t = 1 - s it is N(1-s) / prod_i s_i^(D_i), and its pole order at
+    s = 0 is nvars - c, c the degree of the lowest nonzero homogeneous part
+    of N(1-s).  The coefficient of s^beta in N(1-s) is
+    k_beta = (-1)^|beta| * sum_a c_a * prod_i C(a_i, beta_i), which is 0
+    unless beta <= a for some term, so beta runs over compositions of c
+    bounded by the largest exponents.  Negative exponents are cleared
+    first: multiplying N by t^k multiplies N(1-s) by prod_i (1-s_i)^(k_i),
+    whose constant term is 1, so the lowest part does not change.  The
+    substitution t = 1 - s is invertible, so N(1-s) is nonzero whenever N
+    is and the walk over c = 0, 1, ... ends.  Returns (nvars - c,
+    {beta: k_beta}) for that part; the zero numerator (the zero ring)
+    gives (-1, {}).
     """
     if numerator.is_zero():
-        return -1, 0
-    u = numerator.coarsened()
-    low = u.min_exponents()[0]
-    coeffs = [0] * (u.max_exponents()[0] - low + 1)
-    for (e,), c in u.terms:
-        coeffs[e - low] = c
-    order = 0
-    while sum(coeffs) == 0:
-        # w_i = v_0 + ... + v_i; the last partial sum is the zero remainder
-        coeffs = list(accumulate(coeffs))[:-1]
-        order += 1
-    return nvars - order, sum(coeffs)
+        return -1, {}
+    clear = tuple(max(0, -m) for m in numerator.min_exponents())
+    numerator = numerator.shifted(clear)
+    terms = numerator.terms
+    bound = numerator.max_exponents()
+    c = 0
+    while True:
+        form: dict[tuple[int, ...], int] = {}
+        for beta in _compositions(c, numerator.r):
+            if all(map(le, beta, bound)):
+                k = sum(v * math.prod(map(math.comb, a, beta)) for a, v in terms)
+                if k:
+                    form[beta] = -k if c % 2 else k
+        if form:
+            return nvars - c, form
+        c += 1
 
 
 def monomial_dimension(I: Ideal) -> int:
@@ -346,66 +362,23 @@ def series_coefficient(rep: HilbertSeriesRep, nu: tuple[int, ...]) -> int:
 
 def mixed_mult_series(J: Ideal, pivot_rule: str = "default") -> MixedMultTable:
     """Table of e_n over all types with |n+1| = dim, from K(1-s)."""
-    rep = k_polynomial(J, pivot_rule)
-    d, _ = _pole_at_one(rep.numerator, J.ring.nvars)
-    if d < 0:
-        return MixedMultTable(dimension=-1, route="series")
-    return series_table(rep, d)
+    return series_table(k_polynomial(J, pivot_rule))
 
 
-def series_table(rep: HilbertSeriesRep, dimension: int) -> MixedMultTable:
-    """Extract the type-indexed table from a series of known dimension."""
-    ring = rep.ring
-    d = dimension
+def series_table(rep: HilbertSeriesRep) -> MixedMultTable:
+    """The type-indexed table, read off the lowest nonzero part of K(1-s);
+    the zero numerator gives dimension -1 and no entries."""
     D = rep.denominator_exponents
-    codim = sum(D) - d
-    num = rep.numerator
-    mins = num.min_exponents()
-    clear = tuple(max(0, -m) for m in mins)
-    if any(clear):
-        num = num.shifted(clear)
-    support = num.terms
-    maxexp = num.max_exponents()
-    r = ring.r
-
-    def kappa(beta: tuple[int, ...]) -> int:
-        acc = 0
-        for a, c in support:
-            term = c
-            for ai, bi in zip(a, beta):
-                if bi > ai:
-                    term = 0
-                    break
-                term *= math.comb(ai, bi)
-            acc += term
-        return acc if sum(beta) % 2 == 0 else -acc
-
-    box = [range(0, min(m, codim) + 1) for m in maxexp]
+    d, form = _lowest_form(rep.numerator, sum(D))
     entries: dict[tuple[int, ...], int] = {}
-    for beta in product(*box):
-        total = sum(beta)
-        if total > codim:
-            continue
-        k = kappa(beta)
-        if total < codim:
-            if k != 0:
-                raise InvariantViolation(
-                    f"nonzero component of K(1-s) below codimension: "
-                    f"s^{beta} -> {k}"
-                )
-            continue
-        if k == 0:
-            continue
+    for beta, k in form.items():
         if k < 0:
             raise InvariantViolation(f"negative multiplicity {k} at s^{beta}")
         if any(b > Di for b, Di in zip(beta, D)):
             raise InvariantViolation(
                 f"multiplicity support exceeds block bound at s^{beta}"
             )
-        n = tuple(Di - b - 1 for b, Di in zip(beta, D))
-        entries[n] = k
-    if not entries:
-        raise InvariantViolation("no positive multiplicity for a nonzero quotient")
+        entries[tuple(Di - b - 1 for b, Di in zip(beta, D))] = k
     return MixedMultTable(dimension=d, route="series", entries=entries)
 
 
@@ -487,7 +460,8 @@ def graded_piece_dim(J: Ideal, nu: tuple[int, ...]) -> int:
         raise EnumerationGuardError(
             f"graded piece at {nu} has {count_bound} monomials (guard {PIECE_GUARD})"
         )
-    lt = _lt_exps(J)
+    # only a generator of multidegree <= nu can divide a monomial of degree nu
+    lt = [g for g in _lt_exps(J) if all(map(le, ring.multidegree_of(g), nu))]
     per_block = [
         list(_compositions(x, sz)) for x, sz in zip(nu, sizes)
     ]
@@ -510,7 +484,8 @@ def _compositions(total: int, parts: int):
 
 def _dimension_and_multiplicity(J: Ideal) -> tuple[int, int]:
     """Krull dimension and coarsened multiplicity of B/J from one numerator."""
-    d, e = _pole_at_one(k_polynomial(J).numerator, J.ring.nvars)
+    d, form = _lowest_form(k_polynomial(J).numerator.coarsened(), J.ring.nvars)
+    e = sum(form.values())
     if d >= 0 and e < 1:
         raise InvariantViolation(f"coarsened multiplicity {e} < 1 for nonzero quotient")
     return d, e

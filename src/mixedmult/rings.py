@@ -561,10 +561,6 @@ class LaurentPolyZ:
         """Substitute every t_i by a single t (total-degree coarsening)."""
         return LaurentPolyZ(1, (((sum(e),), c) for e, c in self.terms))
 
-    def at_one(self) -> int:
-        """Evaluate every variable at 1."""
-        return sum(c for _, c in self.terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPolyZ)

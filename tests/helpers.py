@@ -3,11 +3,15 @@
 import heapq
 import math
 from fractions import Fraction
+from itertools import accumulate, product
 
 from mixedmult import (
     HilbertPolynomialRep,
+    HilbertSeriesRep,
     Ideal,
     InvariantViolation,
+    LaurentPolyZ,
+    MixedMultTable,
     Polynomial,
     Prng,
     RingSpec,
@@ -287,6 +291,85 @@ def fraction_evaluate(rep: HilbertPolynomialRep, nu) -> Fraction:
             term *= Fraction(x) ** k
         acc += term
     return acc
+
+
+def division_pole_at_one(numerator: LaurentPolyZ, nvars: int) -> tuple[int, int]:
+    """Reference dimension and coarsened multiplicity of a series numerator.
+
+    The series is numerator / (1-t)^nvars after coarsening to total degree.
+    Divide the coarsened numerator by (1-t) while the remainder vanishes:
+    the dimension is nvars minus the number of divisions, the multiplicity
+    is the quotient at t = 1.  The zero numerator (zero ring) gives (-1, 0).
+    """
+    if numerator.is_zero():
+        return -1, 0
+    u = numerator.coarsened()
+    low = u.min_exponents()[0]
+    coeffs = [0] * (u.max_exponents()[0] - low + 1)
+    for (e,), c in u.terms:
+        coeffs[e - low] = c
+    order = 0
+    while sum(coeffs) == 0:
+        # w_i = v_0 + ... + v_i; the last partial sum is the zero remainder
+        coeffs = list(accumulate(coeffs))[:-1]
+        order += 1
+    return nvars - order, sum(coeffs)
+
+
+def box_series_table(rep: HilbertSeriesRep, dimension: int) -> MixedMultTable:
+    """Reference type-indexed table of a series of known dimension: every
+    s^beta in the box up to the codimension is read off K(1-s), those below
+    the codimension must vanish."""
+    d = dimension
+    D = rep.denominator_exponents
+    codim = sum(D) - d
+    num = rep.numerator
+    mins = num.min_exponents()
+    clear = tuple(max(0, -m) for m in mins)
+    if any(clear):
+        num = num.shifted(clear)
+    support = num.terms
+    maxexp = num.max_exponents()
+
+    def kappa(beta: tuple[int, ...]) -> int:
+        acc = 0
+        for a, c in support:
+            term = c
+            for ai, bi in zip(a, beta):
+                if bi > ai:
+                    term = 0
+                    break
+                term *= math.comb(ai, bi)
+            acc += term
+        return acc if sum(beta) % 2 == 0 else -acc
+
+    box = [range(0, min(m, codim) + 1) for m in maxexp]
+    entries: dict[tuple[int, ...], int] = {}
+    for beta in product(*box):
+        total = sum(beta)
+        if total > codim:
+            continue
+        k = kappa(beta)
+        if total < codim:
+            if k != 0:
+                raise InvariantViolation(
+                    f"nonzero component of K(1-s) below codimension: "
+                    f"s^{beta} -> {k}"
+                )
+            continue
+        if k == 0:
+            continue
+        if k < 0:
+            raise InvariantViolation(f"negative multiplicity {k} at s^{beta}")
+        if any(b > Di for b, Di in zip(beta, D)):
+            raise InvariantViolation(
+                f"multiplicity support exceeds block bound at s^{beta}"
+            )
+        n = tuple(Di - b - 1 for b, Di in zip(beta, D))
+        entries[n] = k
+    if not entries:
+        raise InvariantViolation("no positive multiplicity for a nonzero quotient")
+    return MixedMultTable(dimension=d, route="series", entries=entries)
 
 
 def minors_G_condition(M: PresentationMatrix, s: int) -> bool:

@@ -492,6 +492,20 @@ def test_set_pair_budget_validation():
         set_pair_budget(0)
 
 
+def test_explicit_pair_budget_validation():
+    for bad in (0, -1, -5):
+        with pytest.raises(ValueError, match="pair budget must be positive"):
+            resolve_pair_budget(explicit=bad)
+    with pytest.raises(ValueError, match="pair budget must be positive"):
+        groebner_basis(mk(FRESH, "a^2 - b*c", "a*b - c^2"), budget=-5)
+    with pytest.raises(ValueError, match="pair budget must be positive"):
+        groebner_basis(mk(FRESH, "a^2 - b*c"), budget=-1)
+    held = saturation(mk(FRESH, "a*b"), mk(FRESH, "a"))
+    assert held._basis is not None
+    with pytest.raises(ValueError, match="pair budget must be positive"):
+        groebner_basis(held, budget=-1)
+
+
 # ---------------------------------------------------------------------------
 # Ideal plumbing
 

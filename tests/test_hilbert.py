@@ -13,6 +13,7 @@ from mixedmult import (
     Ideal,
     InvariantViolation,
     LaurentPolyZ,
+    MixedMultTable,
     NotMultihomogeneousError,
     Polynomial,
     coarsened_multiplicity,
@@ -27,9 +28,11 @@ from mixedmult import (
     series_coefficient,
     series_table,
 )
-from mixedmult.hilbert import _knum, _minimalize
+from mixedmult.hilbert import _knum, _lowest_form, _minimalize
 
 from helpers import (
+    box_series_table,
+    division_pole_at_one,
     fraction_evaluate,
     fraction_hilbert_polynomial,
     generator_pivot_knum,
@@ -322,16 +325,17 @@ def test_series_table_irrelevant_ideal_has_negative_types():
     assert table.entries == {(1, -1): 1, (-1, 1): 1}
 
 
-def test_series_table_rejects_low_degree_contamination():
-    # numerator 1 with claimed dimension 3 leaves a nonzero component below
-    # the codimension level, which the extraction must refuse
+def test_series_table_rejects_numerator_with_vanishing_coarsening():
+    # t1 - t2 coarsens to 0, but its lowest part -s1 + s2 does not vanish;
+    # no module has this numerator, and the table must refuse it
     rep = HilbertSeriesRep(
         ring=R,
-        numerator=LaurentPolyZ(2, [((0, 0), 1)]),
+        numerator=LaurentPolyZ(2, [((1, 0), 1), ((0, 1), -1)]),
         denominator_exponents=(2, 2),
     )
+    assert _lowest_form(rep.numerator, 4) == (3, {(1, 0): -1, (0, 1): 1})
     with pytest.raises(InvariantViolation):
-        series_table(rep, 3)
+        series_table(rep)
 
 
 def test_series_table_rejects_negative_multiplicity():
@@ -341,7 +345,7 @@ def test_series_table_rejects_negative_multiplicity():
         denominator_exponents=(2, 2),
     )
     with pytest.raises(InvariantViolation):
-        series_table(rep, 4)
+        series_table(rep)
 
 
 def test_series_table_additivity_on_direct_sums():
@@ -356,7 +360,7 @@ def test_series_table_additivity_on_direct_sums():
     )
     t1 = mixed_mult_series(J1)
     t2 = mixed_mult_series(J2)
-    combined = series_table(summed, 3)
+    combined = series_table(summed)
     keys = set(t1.entries) | set(t2.entries)
     assert combined.entries == {
         n: t1.value(n) + t2.value(n)
@@ -374,7 +378,52 @@ def test_series_table_additivity_drops_lower_dimension():
         numerator=rep1.numerator + rep2.numerator,
         denominator_exponents=(2, 2),
     )
-    assert series_table(summed, 3).entries == mixed_mult_series(DIAGONAL).entries
+    assert series_table(summed) == mixed_mult_series(DIAGONAL)
+
+
+@st.composite
+def series_cases(draw):
+    """(J, K-polynomial of J) for a shifted monomial ideal in 1-3 blocks
+    (some of one variable, the zero and the unit ideal among them), or
+    (None, the sum of that K-polynomial and a second one over one ring)."""
+    J = draw(shifted_monomial_ideals())
+    rep = k_polynomial(J)
+    if draw(st.booleans()):
+        return J, rep
+    ring = J.ring
+    nvars = ring.nvars
+    monomials = st.dictionaries(
+        st.integers(0, nvars - 1), st.integers(1, 2), min_size=1, max_size=3
+    ).map(lambda d: tuple(d.get(i, 0) for i in range(nvars)))
+    exps = draw(st.lists(monomials, max_size=5))
+    shift = draw(st.none() | st.tuples(*(st.integers(-3, 3) for _ in range(ring.r))))
+    J2 = Ideal(ring, tuple(Polynomial(ring, ((e, 1),)) for e in exps), shift=shift)
+    summed = HilbertSeriesRep(
+        ring=ring,
+        numerator=rep.numerator + k_polynomial(J2).numerator,
+        denominator_exponents=ring.block_sizes,
+    )
+    return None, summed
+
+
+@given(case=series_cases())
+@example(case=(Ideal(R, ()), k_polynomial(Ideal(R, ()))))
+@example(case=(mk(R, "1", shift=(1, -2)), k_polynomial(mk(R, "1", shift=(1, -2)))))
+@example(case=(nbar(), k_polynomial(nbar())))
+def test_lowest_form_matches_division_and_box_scan_oracles(case):
+    J, rep = case
+    nvars = rep.ring.nvars
+    d, e = division_pole_at_one(rep.numerator, nvars)
+    expected_form = {(nvars - d,): e} if d >= 0 else {}
+    assert _lowest_form(rep.numerator.coarsened(), nvars) == (d, expected_form)
+    if J is not None:
+        assert quotient_dimension(J) == d
+        assert coarsened_multiplicity(J) == e
+    if d >= 0:
+        expected = box_series_table(rep, d)
+    else:
+        expected = MixedMultTable(dimension=-1, route="series")
+    assert series_table(rep) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -365,10 +365,9 @@ def test_laurent_negative_exponents_and_shift():
     assert shifted.as_dict() == {(-1, 1): 3}
 
 
-def test_laurent_coarsen_and_at_one():
+def test_laurent_coarsen_and_exponent_bounds():
     k = LaurentPolyZ(2, [((0, 0), 1), ((1, 1), -2), ((1, 2), 1)])
     assert k.coarsened().as_dict() == {(0,): 1, (2,): -2, (3,): 1}
-    assert k.at_one() == 0
     assert k.min_exponents() == (0, 0)
     assert k.max_exponents() == (1, 2)
 
