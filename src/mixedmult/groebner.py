@@ -9,11 +9,38 @@ variables, eliminate them and drop them before returning: intersection (and
 the colon built on it) uses one helper, saturation one helper per generator
 of the saturating ideal.
 
-Reduction keeps the heap comparison and the monomial arithmetic cheap, as
-in Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011):
-terms wait on a min-heap keyed by ``TermOrder.heap_key``, the order key
-negated in one step, and exponents are combined by ``map`` over
-``operator`` functions, which runs in C.
+Reduction works on monomials packed into one Python int each, as in
+Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
+
+* Encoding.  A run fixes a field width of b bits.  The order's blocks are
+  laid out from the low end: under degrevlex one block of all variables;
+  under an elimination order the kept variables, then the drop variables.
+  Each block holds one field per variable, in index order, and above them
+  one field for the block's total degree.  The top bit of every field is a
+  guard bit, so a field holds values below 2^(b-1).  In the plain packed
+  value m the degree fields hold the degrees D; multiplying monomials is
+  adding their m, and a | e iff (m_e - m_a) & GUARD == 0, because a
+  negative field difference borrows into its own guard bit.  A monomial's
+  sugar is the sum of its degree fields.
+* Heap key.  The key k = m ^ FLIP replaces every degree field D by its
+  complement 2^b - 1 - D.  Ascending k compares the drop degree descending,
+  then the drop exponents from the last variable down, then the same for
+  the kept block: that is the order key negated entry by entry, so a
+  min-heap of plain ints pops the largest monomial first; under degrevlex
+  it sorts as the tuple (-|e|, e reversed).  k is
+  L(e) + const for the linear form L(e) = m(e) - 2·sum(D_block·2^pos), so
+  k(q·t) = k(t) + k(q) - k(1): a basis element stores each tail term as
+  k(t) - k(lead), and reducing the term with key k by it adds that
+  difference to k, one int addition per tail term.  The work dict and the
+  heap hold keys only; m is recovered at pop as k ^ FLIP.
+* Width.  A run starts at the smallest of 16, 32, 64, ... bits whose
+  fields hold the largest input degree.  Sums of two guard-free fields
+  never carry into the next field, so an overflow shows as a guard bit of
+  the first popped term it reaches, and the run restarts at double width.
+  ``_buchberger`` packs its input once (``struct`` over a permutation
+  ``itemgetter`` for fields up to 64 bits), builds monic basis elements
+  straight from packed remainders and unpacks only the final basis;
+  ``normal_form`` packs a basis once, into a slot on ``GroebnerBasis``.
 
 Every ideal returned by elimination, intersection, colon or saturation
 holds its reduced degrevlex basis, and ``groebner_basis`` returns that
@@ -27,15 +54,16 @@ original ring keeps that basis; the colon is read from a degrevlex run.
 
 from __future__ import annotations
 
-import heapq
 import os
+import struct
 from functools import lru_cache
-from operator import add, le, sub
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import NotMultihomogeneousError, PairBudgetExceeded
+from .errors import ExponentOverflow, NotMultihomogeneousError, PairBudgetExceeded
 from .rings import (
-    DEGREE_ANY,
+    MAX_EXPONENT,
     Polynomial,
     RingSpec,
     TermOrder,
@@ -169,9 +197,13 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, autoreduced, sorted by leading term."""
+    """Reduced Groebner basis: monic, autoreduced, sorted by leading term.
 
-    __slots__ = ("ring", "order", "elements", "leading_exps")
+    ``_packed`` is filled by the first ``normal_form`` against the basis:
+    its packing and its elements as packed reducers.
+    """
+
+    __slots__ = ("ring", "order", "elements", "leading_exps", "_packed")
 
     def __init__(self, ring: RingSpec, order: TermOrder, elements: Sequence[Polynomial]):
         self.ring = ring
@@ -180,6 +212,7 @@ class GroebnerBasis:
         self.leading_exps = tuple(
             g.lead_exps(order) for g in self.elements
         )
+        self._packed = None
 
     @classmethod
     def _with_leads(
@@ -196,6 +229,7 @@ class GroebnerBasis:
         G.order = order
         G.elements = tuple(elements)
         G.leading_exps = tuple(leading_exps)
+        G._packed = None
         return G
 
     def contains(self, p: Polynomial) -> bool:
@@ -206,67 +240,203 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
+# Packed monomials
+
+
+class _FieldOverflow(Exception):
+    """A popped term has a guard bit set: the field width is too small."""
+
+
+def _width_for(degree: int) -> int:
+    """Smallest field width 16·2^j whose fields hold ``degree``."""
+    width = 16
+    while degree >> (width - 1):
+        width *= 2
+    return width
+
+
+class _Packing:
+    """Monomials of one order packed at one field width (see the module
+    docstring): ``pack`` takes an exponent tuple to its heap key,
+    ``unpack`` a heap key back, ``degree`` a plain packed value to its
+    total degree; ``flip`` turns a key into the plain value and back,
+    ``guard`` holds every guard bit, ``cap`` the bits of exponents above
+    ``MAX_EXPONENT`` (0 where no field can hold one) and ``one`` is the key
+    of the monomial 1."""
+
+    __slots__ = ("width", "flip", "guard", "cap", "one", "pack", "unpack", "degree")
+
+    def __init__(self, order: TermOrder, width: int):
+        n = order.nvars
+        if order.kind == "degrevlex":
+            blocks = [tuple(range(n))]
+        else:
+            dropset = set(order.drop)
+            kept = tuple(i for i in range(n) if i not in dropset)
+            blocks = [kept, order.drop] if kept else [order.drop]
+        ones = (1 << width) - 1
+        layout: list[int] = []  # variable index per variable field, low to high
+        var_shifts: list[int] = []
+        deg_shifts: list[int] = []
+        pos = 0
+        for block in blocks:
+            for i in block:
+                layout.append(i)
+                var_shifts.append(pos * width)
+                pos += 1
+            deg_shifts.append(pos * width)
+            pos += 1
+        self.width = width
+        self.flip = sum(ones << s for s in deg_shifts)
+        self.guard = sum(1 << (s + width - 1) for s in range(0, pos * width, width))
+        self.cap = (
+            sum((ones ^ MAX_EXPONENT) << s for s in var_shifts) if width > 32 else 0
+        )
+        self.one = self.flip
+        identity = layout == list(range(n))
+        to_layout = None if identity else itemgetter(*layout)
+        at = {i: k for k, i in enumerate(layout)}
+        to_vars = None if identity else itemgetter(*(at[i] for i in range(n)))
+        flip = self.flip
+
+        if width <= 64:
+            code = {16: "H", 32: "I", 64: "Q"}[width]
+            pad = f"{width // 8}x"
+            fmt = "<" + pad.join(f"{len(b)}{code}" for b in blocks) + pad
+            codec = struct.Struct(fmt)
+            spack, sunpack, size = codec.pack, codec.unpack, codec.size
+            from_bytes = int.from_bytes
+
+            def var_part(v):
+                return from_bytes(spack(*v), "little")
+
+            def var_values(m):
+                return sunpack(m.to_bytes(size, "little"))
+
+        else:
+
+            def var_part(v):
+                return sum(x << s for x, s in zip(v, var_shifts))
+
+            def var_values(m):
+                return tuple((m >> s) & ones for s in var_shifts)
+
+        if len(blocks) == 1:
+            top = deg_shifts[0]
+
+            def pack(e):
+                v = e if to_layout is None else to_layout(e)
+                return var_part(v) + flip - (sum(e) << top)
+
+            def degree(m):
+                return m >> top
+
+        else:
+            nk = len(blocks[0])
+            low, top = deg_shifts
+
+            def pack(e):
+                v = e if to_layout is None else to_layout(e)
+                dk = sum(v[:nk])
+                return var_part(v) + flip - (dk << low) - ((sum(e) - dk) << top)
+
+            def degree(m):
+                return (m >> top) + ((m >> low) & ones)
+
+        if to_vars is None:
+
+            def unpack(k):
+                return var_values(k ^ flip)
+
+        else:
+
+            def unpack(k):
+                return to_vars(var_values(k ^ flip))
+
+        self.pack = pack
+        self.unpack = unpack
+        self.degree = degree
+
+    def entry(self, lead: tuple[int, ...], terms) -> tuple[int, tuple]:
+        """Reducer of a monic polynomial given by its (exps, coefficient)
+        terms and its leading exponents: (plain packed lead, tail), each
+        tail term as (key - lead key, coefficient)."""
+        pack = self.pack
+        kl = pack(lead)
+        return kl ^ self.flip, tuple((pack(e) - kl, c) for e, c in terms if e != lead)
+
+    def monic_entry(self, remainder: dict, p: int) -> tuple[int, tuple]:
+        """(lead key, reducer) of a remainder dict scaled to lead
+        coefficient 1; its first key is its leading term, since the kernel
+        fills a remainder largest term first.  Raises ``ExponentOverflow``
+        as ``Polynomial`` would for an exponent above ``MAX_EXPONENT``."""
+        cap = self.cap
+        if cap and any(k & cap for k in remainder):
+            raise ExponentOverflow("exponent exceeds cap")
+        items = iter(remainder.items())
+        kl, c = next(items)
+        inv = pow(c, p - 2, p)
+        return kl, (kl ^ self.flip, tuple((k - kl, v * inv % p) for k, v in items))
+
+
+# ---------------------------------------------------------------------------
 # Reduction
 
 
-def _full_reduce(
+def _reduce(
     work: dict,
     entries: list,
-    order: TermOrder,
+    pk: _Packing,
     p: int,
     sugar: Optional[int] = None,
     sugars: Optional[list] = None,
 ):
-    """Tail-complete reduction of ``work`` (dict exps -> coeff) by ``entries``.
+    """Tail-complete reduction of ``work`` (dict key -> coeff) by ``entries``.
 
-    Each entry is (lead_exps, tail_terms); entries are monic.  Returns
-    (remainder dict, sugar).  Deterministic: the current largest term is
+    Each entry is a monic reducer (plain packed lead, tail) from
+    ``_Packing.entry``.  Returns (remainder dict, sugar), the remainder
+    filled largest term first.  Deterministic: the current largest term is
     reduced by the first entry (in list order) whose lead divides it.
+    Raises ``_FieldOverflow`` when a popped term has a guard bit set.
     """
-    heap_key = order.heap_key
-    heap = [(heap_key(e), e) for e in work]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heap = list(work)
+    heapify(heap)
+    get, pop = work.get, work.pop
+    flip, guard = pk.flip, pk.guard
     track_sugar = sugar is not None and sugars is not None
     remainder: dict = {}
     while heap:
-        e = heappop(heap)[1]
-        c = work.pop(e, None)
+        k = heappop(heap)
+        c = pop(k, None)
         if c is None:
             continue
+        m = k ^ flip
+        if m & guard:
+            raise _FieldOverflow
         for idx, (lead, tail) in enumerate(entries):
-            if all(map(le, lead, e)):
+            if not (m - lead) & guard:
                 break
         else:
-            remainder[e] = c
+            remainder[k] = c
             continue
-        q = tuple(map(sub, e, lead))
         if track_sugar:
-            s = sugars[idx] + sum(q)
+            s = sugars[idx] + pk.degree(m - lead)
             if s > sugar:
                 sugar = s
-        for te, tc in tail:
-            ne = tuple(map(add, q, te))
-            prev = work.get(ne)
+        c = p - c  # subtract c·(reducer) by adding (p - c)·(reducer)
+        for td, tc in tail:
+            ne = k + td
+            prev = get(ne)
             if prev is None:
-                v = (-c * tc) % p
-                if v:
-                    work[ne] = v
-                    heappush(heap, (heap_key(ne), ne))
+                work[ne] = c * tc % p
+                heappush(heap, ne)
             else:
-                v = (prev - c * tc) % p
+                v = (prev + c * tc) % p
                 if v:
                     work[ne] = v
                 else:
                     del work[ne]
     return remainder, sugar
-
-
-def _entry_from_poly(g: Polynomial, lead: tuple[int, ...]):
-    """(lead_exps, tail_terms) for a monic polynomial with leading exponents
-    ``lead``."""
-    tail = tuple((e, c) for e, c in g.terms if e != lead)
-    return (lead, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +482,6 @@ def groebner_basis(
 def _buchberger(
     ring: RingSpec, gens: frozenset, order: TermOrder, budget: int
 ) -> GroebnerBasis:
-    p = ring.characteristic
     work_gens = sorted(
         (g.monic(order) for g in gens if not g.is_zero()),
         key=lambda gl: (order.key(gl[1]), gl[0].terms),
@@ -321,16 +490,31 @@ def _buchberger(
         return GroebnerBasis(ring, order, ())
     if any(g.is_constant() for g, _ in work_gens):
         return GroebnerBasis(ring, order, (Polynomial.one(ring),))
+    width = _width_for(max(g.total_degree() for g, _ in work_gens))
+    while True:
+        try:
+            return _packed_run(ring, order, budget, work_gens, _Packing(order, width))
+        except _FieldOverflow:
+            width *= 2
 
-    entries: list = []  # (lead, tail) per basis element
+
+def _packed_run(
+    ring: RingSpec, order: TermOrder, budget: int, work_gens: list, pk: _Packing
+) -> GroebnerBasis:
+    """One Buchberger run of ``_buchberger`` at the field width of ``pk``."""
+    p = ring.characteristic
+    pack, unpack = pk.pack, pk.unpack
+    entries: list = []  # packed (lead, tail) per basis element
+    lead_keys: list[int] = []
     sugars: list[int] = []
     leads: list[tuple[int, ...]] = []
     pairs: list = []  # (sugar, lcm_key, i, j, lcm)
     processed = 0
 
-    def add_element(g: Polynomial, lead_t: tuple[int, ...], sugar: int):
-        """Gebauer-Moller update of the pair set, then append g (monic, with
-        leading exponents lead_t)."""
+    def add_element(kl: int, entry: tuple, sugar: int):
+        """Gebauer-Moller update of the pair set, then append the reducer
+        ``entry`` whose lead has key ``kl``."""
+        lead_t = unpack(kl)
         t = len(entries)
         lcms = [mono_lcm(leads[i], lead_t) for i in range(t)]
         # New pairs: scan candidates in index order, keep survivors (B-W Update).
@@ -371,27 +555,27 @@ def _buchberger(
             new_pairs.append((s, order.key(li), i, t, li))
         # Prune old pairs killed by the new lead (chain criterion).
         surviving = []
-        for entry in pairs:
-            _, _, i, j, lij = entry
+        for entry_ in pairs:
+            _, _, i, j, lij = entry_
             if (
                 mono_divides(lead_t, lij)
                 and mono_lcm(leads[i], lead_t) != lij
                 and mono_lcm(leads[j], lead_t) != lij
             ):
                 continue
-            surviving.append(entry)
+            surviving.append(entry_)
         surviving.extend(new_pairs)
         pairs[:] = surviving
-        entries.append(_entry_from_poly(g, lead_t))
+        entries.append(entry)
+        lead_keys.append(kl)
         sugars.append(sugar)
         leads.append(lead_t)
 
     for g, _ in work_gens:
-        red, sg = _full_reduce(
-            g.as_dict(), entries, order, p, sugar=g.total_degree(), sugars=sugars
-        )
+        work = {pack(e): c for e, c in g.terms}
+        red, sg = _reduce(work, entries, pk, p, sugar=g.total_degree(), sugars=sugars)
         if red:
-            add_element(*Polynomial(ring, red.items()).monic(order), sg)
+            add_element(*pk.monic_entry(red, p), sg)
 
     while pairs:
         best = min(pairs)
@@ -408,42 +592,52 @@ def _buchberger(
                 },
             )
         s_sugar, _, i, j, lij = best
-        li, tail_i = entries[i]
-        lj, tail_j = entries[j]
-        qi = mono_div(lij, li)
-        qj = mono_div(lij, lj)
+        # tails hold key(t) - key(lead), so key(lij / lead · t) = klij + diff
+        klij = pack(lij)
         work: dict = {}
-        for te, tc in tail_i:
-            e = tuple(map(add, qi, te))
-            work[e] = work.get(e, 0) + tc
-        for te, tc in tail_j:
-            e = tuple(map(add, qj, te))
-            work[e] = work.get(e, 0) - tc
-        work = {e: c % p for e, c in work.items() if c % p}
-        red, sg = _full_reduce(work, entries, order, p, sugar=s_sugar, sugars=sugars)
+        for td, tc in entries[i][1]:
+            k = klij + td
+            work[k] = work.get(k, 0) + tc
+        for td, tc in entries[j][1]:
+            k = klij + td
+            work[k] = work.get(k, 0) - tc
+        work = {k: c % p for k, c in work.items() if c % p}
+        red, sg = _reduce(work, entries, pk, p, sugar=s_sugar, sugars=sugars)
         if red:
-            g, lead = Polynomial(ring, red.items()).monic(order)
-            if g.is_constant():
+            kl, entry = pk.monic_entry(red, p)
+            if kl == pk.one:
                 return GroebnerBasis(ring, order, (Polynomial.one(ring),))
-            add_element(g, lead, sg)
+            add_element(kl, entry, sg)
 
-    # Inter-reduce to the unique reduced basis.
-    idx_by_lead = sorted(range(len(entries)), key=lambda i: order.key(leads[i]))
+    # Inter-reduce to the unique reduced basis; ascending key is descending
+    # in the order, and leads are distinct.
+    by_lead = sorted(range(len(entries)), key=lead_keys.__getitem__, reverse=True)
+    guard = pk.guard
     minimal: list[int] = []
-    for i in idx_by_lead:
-        if not any(mono_divides(leads[j], leads[i]) for j in minimal):
+    for i in by_lead:
+        lead_i = entries[i][0]
+        if all((lead_i - entries[j][0]) & guard for j in minimal):
             minimal.append(i)
-    reduced: list[tuple[tuple[int, ...], Polynomial]] = []
+    elements = []
     for i in minimal:
         others = [entries[j] for j in minimal if j != i]
-        lead_i, tail_i = entries[i]
-        red, _ = _full_reduce(dict(tail_i), others, order, p)
-        red[lead_i] = 1
-        reduced.append((lead_i, Polynomial(ring, red.items())))
-    reduced.sort(key=lambda lg: order.key(lg[0]))
-    return GroebnerBasis._with_leads(
-        ring, order, [g for _, g in reduced], [lead for lead, _ in reduced]
-    )
+        kl = lead_keys[i]
+        red, _ = _reduce({kl + td: c for td, c in entries[i][1]}, others, pk, p)
+        terms = [(leads[i], 1)]
+        terms.extend((unpack(k), c) for k, c in red.items())
+        elements.append(Polynomial(ring, terms))
+    return GroebnerBasis._with_leads(ring, order, elements, [leads[i] for i in minimal])
+
+
+def _packed_basis(G: GroebnerBasis, width: int) -> tuple[_Packing, list]:
+    """G's packing and packed reducers at ``width`` bits or more, filling
+    (or widening) the slot ``G._packed``."""
+    if G._packed is None or G._packed[0].width < width:
+        width = max(width, _width_for(max(g.total_degree() for g in G.elements)))
+        pk = _Packing(G.order, width)
+        entries = [pk.entry(lead, g.terms) for g, lead in zip(G.elements, G.leading_exps)]
+        G._packed = (pk, entries)
+    return G._packed
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -452,11 +646,19 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         raise ValueError("polynomial and basis over different rings")
     if p.is_zero() or not G.elements:
         return p
-    entries = [
-        _entry_from_poly(g, lead) for g, lead in zip(G.elements, G.leading_exps)
-    ]
-    red, _ = _full_reduce(p.as_dict(), entries, G.order, p.ring.characteristic)
-    return Polynomial(p.ring, red.items())
+    width = _width_for(p.total_degree())
+    while True:
+        pk, entries = _packed_basis(G, width)
+        pack = pk.pack
+        try:
+            red, _ = _reduce(
+                {pack(e): c for e, c in p.terms}, entries, pk, p.ring.characteristic
+            )
+        except _FieldOverflow:
+            width = 2 * pk.width
+            continue
+        unpack = pk.unpack
+        return Polynomial(p.ring, ((unpack(k), c) for k, c in red.items()))
 
 
 # ---------------------------------------------------------------------------

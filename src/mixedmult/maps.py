@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
-from operator import mul
+from operator import add, mul
 
 from .errors import InvariantViolation, NotMultihomogeneousError, PresentationMismatch
 from .groebner import Ideal, _drop_helpers, _lift, elimination_ideal, saturation
@@ -155,7 +155,7 @@ def _check_on_graph(F: RationalMapSpec, gens) -> None:
             a, e = exps[:nx], exps[nx:]
             b = sum(e)
             for fe, fc in f_power(e).terms:
-                key = (b, tuple(u + v for u, v in zip(a, fe)))
+                key = (b, tuple(map(add, a, fe)))
                 v = (acc.get(key, 0) + c * fc) % p
                 if v:
                     acc[key] = v

@@ -160,16 +160,6 @@ class TermOrder:
         k = self._keep_rev(exps)
         return (sum(d), tuple(map(neg, d)), sum(k), tuple(map(neg, k)))
 
-    def heap_key(self, exps: tuple[int, ...]):
-        """``key`` negated in every entry, built in one step: a min-heap on it
-        pops the largest monomial first.  Under degrevlex it is
-        (-|e|, e reversed)."""
-        if self.kind == "degrevlex":
-            return (-sum(exps), exps[::-1])
-        d = self._drop_rev(exps)
-        k = self._keep_rev(exps)
-        return (-sum(d), d, -sum(k), k)
-
     def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
@@ -386,9 +376,10 @@ class Polynomial:
             return o
         p = self.ring.characteristic
         acc: dict[tuple[int, ...], int] = {}
+        # exponents above MAX_EXPONENT raise in the constructor below
         for ea, ca in self.terms:
             for eb, cb in o.terms:
-                e = mono_mul(ea, eb)
+                e = tuple(map(add, ea, eb))
                 v = (acc.get(e, 0) + ca * cb) % p
                 if v:
                     acc[e] = v

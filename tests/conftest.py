@@ -1,3 +1,5 @@
+import os
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -7,4 +9,12 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+# A longer fuzz of the same tests: MM_HYPOTHESIS_PROFILE=deep.
+settings.register_profile(
+    "deep",
+    deadline=None,
+    max_examples=1000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("MM_HYPOTHESIS_PROFILE", "suite"))

@@ -6,12 +6,14 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 from mixedmult import (
+    GroebnerBasis,
     HilbertPolynomialRep,
     HilbertSeriesRep,
     Ideal,
     InvariantViolation,
     LaurentPolyZ,
     MixedMultTable,
+    PairBudgetExceeded,
     Polynomial,
     Prng,
     RingSpec,
@@ -30,7 +32,14 @@ from mixedmult.maps import (
     ideal_height,
 )
 from mixedmult.multigraded import block_ideal
-from mixedmult.rings import TermOrder, degrevlex_order
+from mixedmult.rings import (
+    TermOrder,
+    degrevlex_order,
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+)
 
 CHAR = 32003
 
@@ -422,12 +431,14 @@ def neg_key(k: tuple) -> tuple:
 
 
 def tuple_full_reduce(work, entries, order, p, sugar=None, sugars=None):
-    """Reference ``groebner._full_reduce``: heap keys negated from
+    """Reference reduction kernel on exponent tuples: heap keys negated from
     ``order.key`` tuples, monomial arithmetic by generator expressions.
 
-    Same contract: tail-complete reduction of ``work`` (mutated) by monic
-    (lead, tail) entries, the largest term first, each by the first entry
-    whose lead divides it; returns (remainder dict, sugar).
+    Same contract as the packed ``groebner._reduce``: tail-complete
+    reduction of ``work`` (mutated, dict exps -> coeff) by monic
+    (lead, tail_terms) entries, the largest term first, each by the first
+    entry whose lead divides it; returns (remainder dict, sugar) with the
+    remainder filled largest term first.
     """
     key = order.key
     heap = [(neg_key(key(e)), e) for e in work]
@@ -467,3 +478,127 @@ def tuple_full_reduce(work, entries, order, p, sugar=None, sugars=None):
                 else:
                     del work[ne]
     return remainder, sugar
+
+
+def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
+    """Reference ``groebner._buchberger`` on exponent tuples, unmemoized.
+
+    The same Gebauer-Moller pair update, (sugar, lcm key) selection and
+    final inter-reduction, with every reduction by ``tuple_full_reduce``
+    and every new basis element built as a ``Polynomial``.
+    """
+    p = ring.characteristic
+    work_gens = sorted(
+        (g.monic(order) for g in gens if not g.is_zero()),
+        key=lambda gl: (order.key(gl[1]), gl[0].terms),
+    )
+    if not work_gens:
+        return GroebnerBasis(ring, order, ())
+    if any(g.is_constant() for g, _ in work_gens):
+        return GroebnerBasis(ring, order, (Polynomial.one(ring),))
+
+    def entry(g, lead):
+        return (lead, tuple((e, c) for e, c in g.terms if e != lead))
+
+    entries: list = []
+    sugars: list = []
+    leads: list = []
+    pairs: list = []  # (sugar, lcm_key, i, j, lcm)
+    processed = 0
+
+    def add_element(g, lead_t, sugar):
+        t = len(entries)
+        lcms = [mono_lcm(leads[i], lead_t) for i in range(t)]
+        coprime = [mono_coprime(leads[i], lead_t) for i in range(t)]
+        kept: list = []
+        removed = [False] * t
+        for i in range(t):
+            li = lcms[i]
+            if not coprime[i]:
+                if any(
+                    j != i and not removed[j] and lcms[j] != li
+                    and mono_divides(lcms[j], li)
+                    for j in range(t)
+                ) or any(lcms[j] == li for j in kept):
+                    removed[i] = True
+                    continue
+            kept.append(i)
+        coprime_lcms = {lcms[i] for i in kept if coprime[i]}
+        new_pairs = []
+        for i in kept:
+            if coprime[i] or lcms[i] in coprime_lcms:
+                continue
+            li = lcms[i]
+            s = max(
+                sugars[i] + sum(li) - sum(leads[i]),
+                sugar + sum(li) - sum(lead_t),
+            )
+            new_pairs.append((s, order.key(li), i, t, li))
+        pairs[:] = [
+            (s, k, i, j, lij)
+            for s, k, i, j, lij in pairs
+            if not (
+                mono_divides(lead_t, lij)
+                and mono_lcm(leads[i], lead_t) != lij
+                and mono_lcm(leads[j], lead_t) != lij
+            )
+        ] + new_pairs
+        entries.append(entry(g, lead_t))
+        sugars.append(sugar)
+        leads.append(lead_t)
+
+    for g, _ in work_gens:
+        red, sg = tuple_full_reduce(
+            g.as_dict(), entries, order, p, sugar=g.total_degree(), sugars=sugars
+        )
+        if red:
+            add_element(*Polynomial(ring, red.items()).monic(order), sg)
+
+    while pairs:
+        best = min(pairs)
+        pairs.remove(best)
+        processed += 1
+        if processed > budget:
+            raise PairBudgetExceeded(
+                f"S-pair budget {budget} exceeded",
+                {
+                    "pairs_processed": processed,
+                    "basis_size": len(entries),
+                    "pairs_remaining": len(pairs),
+                    "budget": budget,
+                },
+            )
+        s_sugar, _, i, j, lij = best
+        li, tail_i = entries[i]
+        lj, tail_j = entries[j]
+        qi = mono_div(lij, li)
+        qj = mono_div(lij, lj)
+        work: dict = {}
+        for te, tc in tail_i:
+            e = tuple(x + y for x, y in zip(qi, te))
+            work[e] = work.get(e, 0) + tc
+        for te, tc in tail_j:
+            e = tuple(x + y for x, y in zip(qj, te))
+            work[e] = work.get(e, 0) - tc
+        work = {e: c % p for e, c in work.items() if c % p}
+        red, sg = tuple_full_reduce(work, entries, order, p, sugar=s_sugar, sugars=sugars)
+        if red:
+            g, lead = Polynomial(ring, red.items()).monic(order)
+            if g.is_constant():
+                return GroebnerBasis(ring, order, (Polynomial.one(ring),))
+            add_element(g, lead, sg)
+
+    idx_by_lead = sorted(range(len(entries)), key=lambda i: order.key(leads[i]))
+    minimal: list = []
+    for i in idx_by_lead:
+        if not any(mono_divides(leads[j], leads[i]) for j in minimal):
+            minimal.append(i)
+    reduced = []
+    for i in minimal:
+        others = [entries[j] for j in minimal if j != i]
+        lead_i, tail_i = entries[i]
+        red, _ = tuple_full_reduce(dict(tail_i), others, order, p)
+        red[lead_i] = 1
+        reduced.append((lead_i, Polynomial(ring, red.items())))
+    reduced.sort(key=lambda lg: order.key(lg[0]))
+    return GroebnerBasis(ring, order, [g for _, g in reduced])

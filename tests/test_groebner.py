@@ -150,7 +150,7 @@ def test_membership_oracle_on_random_combinations():
 # prime so that cancellations (and stale heap entries) are common.
 @st.composite
 def reduction_inputs(draw):
-    """(work, entries, order, p, sugar, sugars) for ``_full_reduce``.
+    """(work, entries, order, p, sugar, sugars) for the reduction kernel.
 
     Each entry is a monic polynomial split at its leading term under the
     drawn order, so the reduction terminates; entries may repeat leads or
@@ -182,12 +182,31 @@ def reduction_inputs(draw):
     return work, entries, order, p, sugar, sugars
 
 
+def packed_reduce(work, entries, order, p, sugar, sugars):
+    """``gb._reduce`` on tuple inputs, from 16-bit fields up, as a run
+    widens them; the remainder unpacked in its order."""
+    width = 16
+    while True:
+        pk = gb._Packing(order, width)
+        packed = [pk.entry(lead, tail) for lead, tail in entries]
+        try:
+            rem, s = gb._reduce(
+                {pk.pack(e): c for e, c in work.items()}, packed, pk, p, sugar, sugars
+            )
+        except gb._FieldOverflow:
+            width *= 2
+            continue
+        return [(pk.unpack(k), c) for k, c in rem.items()], s
+
+
 @settings(max_examples=300)
 @given(inputs=reduction_inputs())
 def test_full_reduce_matches_tuple_oracle(inputs):
+    """The packed kernel leaves the tuple kernel's remainder, term by term
+    in the same order, and the same sugar."""
     work, entries, order, p, sugar, sugars = inputs
-    got = gb._full_reduce(dict(work), entries, order, p, sugar, sugars)
-    assert got == tuple_full_reduce(dict(work), entries, order, p, sugar, sugars)
+    rem, s = tuple_full_reduce(dict(work), entries, order, p, sugar, sugars)
+    assert packed_reduce(work, entries, order, p, sugar, sugars) == (list(rem.items()), s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,324 @@
+"""Packed-monomial Groebner kernel against the tuple kernel it replaced.
+
+Encoding properties of ``groebner._Packing`` (heap-key order, the guard-bit
+divisibility test, additivity and round trips) at every field width, and
+whole Buchberger runs and normal forms compared with the tuple oracles in
+``helpers``: same elements, same leading exponents, same failures.
+"""
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+import mixedmult.groebner as gb
+from mixedmult import ExponentOverflow, PairBudgetExceeded, Polynomial, RingSpec
+from mixedmult.rings import (
+    MAX_EXPONENT,
+    TermOrder,
+    degrevlex_order,
+    mono_divides,
+)
+
+from helpers import (
+    DEFAULT_PAIR_BUDGET,
+    neg_key,
+    pp,
+    ring_blocks,
+    tuple_buchberger,
+    tuple_full_reduce,
+    tuple_order_key,
+)
+
+WIDTHS = (16, 32, 64, 128)
+
+
+@st.composite
+def packed_orders(draw):
+    """A term order on 1-7 variables: degrevlex, or elimination with the
+    drop set at the start, in the middle, at the end or interleaved with
+    the kept variables."""
+    n = draw(st.integers(1, 7))
+    shape = draw(
+        st.sampled_from(("degrevlex", "start", "middle", "end", "interleaved"))
+    )
+    if shape == "degrevlex":
+        return TermOrder("degrevlex", n)
+    if shape == "interleaved":
+        drop = range(draw(st.integers(0, min(1, n - 1))), n, 2)
+    elif shape == "middle":
+        start = draw(st.integers(0, n - 1))
+        drop = range(start, draw(st.integers(start + 1, n)))
+    else:
+        k = draw(st.integers(1, n))
+        drop = range(k) if shape == "start" else range(n - k, n)
+    return TermOrder("elim", n, drop)
+
+
+# zero and small exponents most often, some just below the guard bit of a
+# 16- or 32-bit field, where a borrow reaches the guard bit and nothing below
+exponents = st.one_of(
+    st.just(0),
+    st.integers(1, 3),
+    st.integers(2**14, 2**15 - 1),
+    st.integers(2**30, MAX_EXPONENT),
+    st.integers(0, MAX_EXPONENT),
+)
+
+
+@st.composite
+def packing_and_monomials(draw):
+    """(packing, monomials): 1-8 monomials and a packing at a width that
+    holds every degree, drawn from all widths that do."""
+    order = draw(packed_orders())
+    monos = draw(
+        st.lists(st.tuples(*[exponents] * order.nvars), min_size=1, max_size=8)
+    )
+    if draw(st.booleans()):
+        monos.append((0,) * order.nvars)
+    least = gb._width_for(max(map(sum, monos)))
+    width = draw(st.sampled_from([w for w in WIDTHS if w >= least]))
+    return gb._Packing(order, width), order, monos
+
+
+@given(case=packing_and_monomials())
+def test_packed_key_order_is_the_tuple_order(case):
+    pk, order, monos = case
+    for a in monos:
+        for e in monos:
+            assert (pk.pack(a) < pk.pack(e)) == (
+                neg_key(tuple_order_key(order, a)) < neg_key(tuple_order_key(order, e))
+            )
+            assert (pk.pack(a) == pk.pack(e)) == (a == e)
+    assert sorted(monos, key=pk.pack) == sorted(
+        monos, key=lambda e: tuple_order_key(order, e), reverse=True
+    )
+
+
+@given(case=packing_and_monomials())
+def test_guard_bit_test_is_mono_divides(case):
+    """On guard-free packed values (every popped term is one), the guard
+    bits of m_b - m_a are clear iff a divides b."""
+    pk, _, monos = case
+    for a in monos:
+        for e in monos:
+            lcm = tuple(map(max, a, e))
+            for b in (e, lcm, tuple(x // 2 for x in e)):
+                mb = pk.pack(b) ^ pk.flip
+                if mb & pk.guard:
+                    continue  # a degree field of the lcm is too wide
+                got = not (mb - (pk.pack(a) ^ pk.flip)) & pk.guard
+                assert got == mono_divides(a, b)
+
+
+@given(case=packing_and_monomials(), data=st.data())
+def test_packing_is_additive_and_round_trips(case, data):
+    pk, order, monos = case
+    for e in monos:
+        k = pk.pack(e)
+        assert pk.unpack(k) == e
+        assert pk.degree(k ^ pk.flip) == sum(e)
+        assert not (k ^ pk.flip) & pk.guard
+    a, e = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+    total = tuple(x + y for x, y in zip(a, e))
+    wide = gb._Packing(order, max(pk.width, gb._width_for(sum(total))))
+    ka, ke, kt = wide.pack(a), wide.pack(e), wide.pack(total)
+    assert kt ^ wide.flip == (ka ^ wide.flip) + (ke ^ wide.flip)
+    assert kt == ka + ke - wide.one
+    assert wide.unpack(kt) == total
+    # a quotient is a difference of keys: key(e·t) = key(t) + key(e) - key(1)
+    assert kt - ka == ke - wide.one
+
+
+# ---------------------------------------------------------------------------
+# Whole runs
+
+
+VARS = ("x0", "x1", "x2", "x3")
+
+
+@st.composite
+def runs(draw):
+    """(ring, generators, order, budget) for one Buchberger run: sparse
+    non-homogeneous polynomials in 1-4 variables with exponents up to 2 over
+    a small prime, sometimes with a
+    Rabinowitsch generator 1 - w·k in a trailing helper block, under
+    degrevlex or an elimination order."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from((2, 3, 7, 32003)))
+    rabinowitsch = draw(st.booleans())
+    ring = RingSpec(p, (VARS[:n],) + ((("w",),) if rabinowitsch else ()))
+    pad = (0,) * (ring.nvars - n)
+    mono = st.tuples(*[st.integers(0, 2)] * n).map(lambda e: e + pad)
+    poly = st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=4).map(
+        lambda d: Polynomial(ring, d.items())
+    )
+    gens = draw(st.lists(poly, min_size=1, max_size=4))
+    if rabinowitsch:
+        gens.append(Polynomial.one(ring) - Polynomial.variable(ring, "w") * draw(poly))
+    nv = ring.nvars
+    if draw(st.booleans()):
+        order = degrevlex_order(ring)
+    elif rabinowitsch and draw(st.booleans()):
+        order = TermOrder("elim", nv, (nv - 1,))
+    else:
+        order = TermOrder("elim", nv, draw(st.sets(st.integers(0, nv - 1), min_size=1)))
+    # a budget of 40 pairs completes most runs and bounds the odd costly one
+    budget = draw(st.sampled_from((40, 2, 5)))
+    return ring, frozenset(gens), order, budget
+
+
+def outcome(run, *args):
+    try:
+        G = run(*args)
+    except PairBudgetExceeded as exc:
+        return ("budget", exc.args, exc.stats)
+    return (G.elements, G.leading_exps)
+
+
+@given(case=runs())
+def test_packed_buchberger_matches_tuple_oracle(case):
+    got = outcome(gb._buchberger.__wrapped__, *case)
+    assert got == outcome(tuple_buchberger, *case)
+
+
+def test_budget_failure_matches_tuple_oracle():
+    ring = ring_blocks(("x", "y", "z"))
+    gens = frozenset(
+        pp(ring, e) for e in ("x^2*y - z^2 + x", "y^2*z - x + 1", "x*z^2 - y^3")
+    )
+    order = degrevlex_order(ring)
+    for budget in (1, 5, 10):
+        got = outcome(gb._buchberger.__wrapped__, ring, gens, order, budget)
+        assert got[0] == "budget"
+        assert got == outcome(tuple_buchberger, ring, gens, order, budget)
+
+
+def tuple_normal_form(f, G):
+    """f reduced by G with the tuple kernel."""
+    entries = [
+        (lead, tuple((e, c) for e, c in g.terms if e != lead))
+        for g, lead in zip(G.elements, G.leading_exps)
+    ]
+    red, _ = tuple_full_reduce(f.as_dict(), entries, G.order, f.ring.characteristic)
+    return Polynomial(f.ring, red.items())
+
+
+@given(case=runs(), data=st.data())
+def test_packed_normal_form_matches_tuple_oracle(case, data):
+    ring, gens, order, _ = case
+    try:
+        G = gb._buchberger.__wrapped__(ring, gens, order, 40)
+    except PairBudgetExceeded:
+        assume(False)
+    mono = st.tuples(*[st.integers(0, 5)] * ring.nvars)
+    p = ring.characteristic
+    f = Polynomial(
+        ring, data.draw(st.dictionaries(mono, st.integers(1, p - 1), max_size=6)).items()
+    )
+    assert gb.normal_form(f, G) == tuple_normal_form(f, G)
+
+
+# ---------------------------------------------------------------------------
+# Field width
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field width of every packing built while the test runs."""
+    seen = []
+
+    class Recording(gb._Packing):
+        __slots__ = ()
+
+        def __init__(self, order, width):
+            seen.append(width)
+            super().__init__(order, width)
+
+    monkeypatch.setattr(gb, "_Packing", Recording)
+    return seen
+
+
+WIDE = ring_blocks(("x0", "x1", "x2"), ("t",))
+
+
+def wide_order(drop):
+    if drop is None:
+        return degrevlex_order(WIDE)
+    return TermOrder("elim", WIDE.nvars, [WIDE.var_index(v) for v in drop])
+
+
+def both_runs(exprs, drop=None):
+    gens = frozenset(pp(WIDE, e) for e in exprs)
+    order = wide_order(drop)
+    got = gb._buchberger.__wrapped__(WIDE, gens, order, DEFAULT_PAIR_BUDGET)
+    want = tuple_buchberger(WIDE, gens, order, DEFAULT_PAIR_BUDGET)
+    assert got.elements == want.elements
+    assert got.leading_exps == want.leading_exps
+    return got
+
+
+@pytest.mark.parametrize(
+    "exprs, drop, expected",
+    [
+        # degrees up to 20001 fit 16-bit fields; the S-polynomial has degree 40000
+        (("x0^20001*x1 - x2^20001", "x0*x1^20001 - t^20001"), None, [16, 32]),
+        # reducing t^2 by t - x0^20000 makes x0^40000 in an elimination run
+        (("t - x0^20000", "t^2 - x1"), ("t",), [16, 32]),
+        (("x0^40000 - x1",), None, [32]),
+        (("x0^70000*x1 - x2^3", "x1*t - x0"), ("t",), [32]),
+        (("x0^70000*x1 - x2^3", "x1*t - x0"), ("x0",), [32]),
+        # degree 2^30 fits 32-bit fields; t^2 reduces to degree 2^31, which does not
+        (("t - x0^536870912*x1^536870912", "t^2 - x2"), ("t",), [32, 64]),
+        ((f"x0^{MAX_EXPONENT} - x1", f"x1^{MAX_EXPONENT} - x0*t"), None, [32]),
+        # the S-polynomial x0^MAX*x1 - t*x2 has kept degree 2^31
+        ((f"t*x1 - x0^{MAX_EXPONENT}", "x1^2 - x2"), ("t",), [32, 64]),
+    ],
+)
+def test_width_restarts_match_tuple_oracle(widths, exprs, drop, expected):
+    both_runs(exprs, drop)
+    assert widths == expected
+
+
+@pytest.mark.parametrize(
+    "exprs, drop, budget, expected",
+    [
+        # x1·f1 - x0^MAX·f2 leaves x0^(MAX+1)*t, which no lead divides and
+        # which would stay in the final basis
+        ((f"x0^{MAX_EXPONENT}*x1 - x2", "x1^2 - x0*t"), None, DEFAULT_PAIR_BUDGET, [64]),
+        # reducing x0^MAX*t by t - x0 leaves x0^(MAX+1) - x1; a later element
+        # x0^MAX - x1^2 would make it non-minimal, but the run stops there
+        (("x0*x1 - 1", f"x0^{MAX_EXPONENT}*t - x1", "t - x0"), ("t",), 100, [64]),
+    ],
+)
+def test_exponent_above_cap_raises_like_tuple_oracle(widths, exprs, drop, budget, expected):
+    """A new basis element with an exponent above MAX_EXPONENT fails as the
+    tuple kernel's Polynomial constructor did, after the packed run widens
+    to fields that can hold it."""
+    gens = frozenset(pp(WIDE, e) for e in exprs)
+    order = wide_order(drop)
+    with pytest.raises(ExponentOverflow):
+        tuple_buchberger(WIDE, gens, order, budget)
+    with pytest.raises(ExponentOverflow):
+        gb._buchberger.__wrapped__(WIDE, gens, order, budget)
+    assert widths == expected
+
+
+def test_normal_form_widens_the_packed_slot(widths):
+    """The basis packs once into its slot, keeps it for later normal forms
+    and widens it when a reduction overflows or an input needs wider
+    fields; every normal form equals the tuple kernel's."""
+    G = both_runs(("t - x0^20000", "x1^3 - x2"), ("t",))
+    assert G._packed is None and widths == [16]
+    for f in ("x1^4 + x0", "t*x1^3 + x1"):
+        assert gb.normal_form(pp(WIDE, f), G) == tuple_normal_form(pp(WIDE, f), G)
+    slot = G._packed
+    assert slot[0].width == 16 and widths == [16, 16]
+    # t^2 reduces to x0^40000, past the 16-bit fields: the slot widens
+    f = pp(WIDE, "t^2 + x1")
+    assert gb.normal_form(f, G) == tuple_normal_form(f, G) == pp(WIDE, "x0^40000 + x1")
+    assert G._packed[0].width == 32 and widths == [16, 16, 32]
+    f = pp(WIDE, "x0^70000*t + x1^5")
+    assert gb.normal_form(f, G) == tuple_normal_form(f, G)
+    assert widths == [16, 16, 32]
+    G._packed = None
+    assert gb.normal_form(f, G) == tuple_normal_form(f, G)
+    assert widths == [16, 16, 32, 32]

@@ -16,6 +16,7 @@ from mixedmult import (
     parse_polynomial,
     render_polynomial,
 )
+from mixedmult.groebner import _Packing, _width_for
 from mixedmult.rings import (
     MAX_EXPONENT,
     TermOrder,
@@ -258,15 +259,20 @@ exponents = st.one_of(
 @st.composite
 def orders_and_monomials(draw):
     """A term order on 1-6 variables (degrevlex, or elimination with a
-    trailing, leading or scattered drop set) and 1-8 monomials, always
-    including the zero vector one time in three."""
+    trailing, leading, middle or scattered drop set) and 1-8 monomials,
+    always including the zero vector one time in three."""
     n = draw(st.integers(1, 6))
-    shape = draw(st.sampled_from(("degrevlex", "trailing", "leading", "scattered")))
+    shape = draw(
+        st.sampled_from(("degrevlex", "trailing", "leading", "middle", "scattered"))
+    )
     if shape == "degrevlex":
         order = TermOrder("degrevlex", n)
     else:
         if shape == "scattered":
             drop = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        elif shape == "middle":
+            start = draw(st.integers(0, n - 1))
+            drop = range(start, draw(st.integers(start + 1, n)))
         else:
             k = draw(st.integers(1, n))
             drop = range(n - k, n) if shape == "trailing" else range(k)
@@ -279,13 +285,19 @@ def orders_and_monomials(draw):
 
 @given(case=orders_and_monomials())
 def test_heap_key_is_the_negated_key(case):
+    """The packed heap key (at the width a run would pick) orders monomials
+    as the negated tuple key does, pair by pair and in sorted order."""
     order, monos = case
+    pk = _Packing(order, _width_for(max(map(sum, monos))))
     for e in monos:
         assert order.key(e) == tuple_order_key(order, e)
-        assert order.heap_key(e) == neg_key(tuple_order_key(order, e))
         if order.kind == "degrevlex":
-            assert _grevlex_neg_key(e) == order.heap_key(e)
-    by_heap = sorted(monos, key=order.heap_key)
+            assert _grevlex_neg_key(e) == neg_key(tuple_order_key(order, e))
+        for f in monos:
+            assert (pk.pack(e) < pk.pack(f)) == (
+                neg_key(tuple_order_key(order, e)) < neg_key(tuple_order_key(order, f))
+            )
+    by_heap = sorted(monos, key=pk.pack)
     assert by_heap == sorted(monos, key=lambda e: neg_key(order.key(e)))
     assert by_heap == sorted(monos, key=order.key, reverse=True)
 
