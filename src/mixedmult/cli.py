@@ -25,7 +25,7 @@ from .errors import (
     PresentationMismatch,
     SamplingExhausted,
 )
-from .groebner import Ideal, set_pair_budget
+from .groebner import Ideal, pair_budget_override, set_pair_budget
 from .hilbert import (
     coarsened_multiplicity,
     graded_piece_dim,
@@ -45,12 +45,7 @@ from .maps import (
     rees_ideal,
     satfiber_d0_check,
 )
-from .multigraded import (
-    irrelevant_saturation,
-    mixed_mult_polynomial,
-    multidegree,
-    slice_degree,
-)
+from .multigraded import compare_routes, multidegree, slice_degree
 from .rings import RingSpec, parse_polynomial
 
 SCHEMA_VERSION = "1"
@@ -228,16 +223,8 @@ def _cmd_hilbert(J: Ideal, args):
 
 def _cmd_mixed_mult(J: Ideal, args):
     stable = mixed_mult_series(J)
-    sat = irrelevant_saturation(J)
-    ptable = mixed_mult_polynomial(J)
+    ptable, mismatch = compare_routes(J)
     coarse = coarsened_multiplicity(J)
-    route_ok = True
-    if ptable.dimension is not None:
-        sat_series = mixed_mult_series(sat)
-        route_ok = (
-            sat_series.entries == ptable.entries
-            and sat_series.dimension == ptable.dimension + J.ring.r
-        )
     coarse_ok = coarse == stable.total()
     result = {
         "series_table": _table_json(stable),
@@ -247,7 +234,7 @@ def _cmd_mixed_mult(J: Ideal, args):
     checks = [
         {
             "name": "route_agreement",
-            "passed": route_ok,
+            "passed": mismatch is None,
             "details": {
                 "polynomial_entries": _table_json(ptable)["entries"],
             },
@@ -268,13 +255,15 @@ def _cmd_multidegree(J: Ideal, args):
     if args.type is None:
         raise UsageError("multidegree requires --type")
     n = _parse_int_vector(args.type, "--type")
-    value = multidegree(J, n)
-    result = {"type": list(n), "value": value}
+    if len(n) != J.ring.r:
+        raise ValueError("type vector length mismatch")
+    ptable, mismatch = compare_routes(J)
+    result = {"type": list(n), "value": ptable.value(n)}
     checks = [
         {
             "name": "route_agreement",
-            "passed": True,
-            "details": "series and polynomial routes agreed",
+            "passed": mismatch is None,
+            "details": mismatch or "series and polynomial routes agreed",
         }
     ]
     return result, checks
@@ -528,6 +517,7 @@ def run(argv=None) -> int:
 
     input_bytes = None
     started = time.monotonic()
+    previous_budget = pair_budget_override()
     try:
         data = None
         if getattr(args, "input", None):
@@ -603,7 +593,7 @@ def run(argv=None) -> int:
         print(f"mm: {e}", file=sys.stderr)
         return 2
     finally:
-        set_pair_budget(None)
+        set_pair_budget(previous_budget)
 
 
 def _emit(report: dict, started: float, pretty: bool) -> None:

@@ -88,6 +88,11 @@ def set_pair_budget(n: Optional[int]) -> None:
     _budget_override = n
 
 
+def pair_budget_override() -> Optional[int]:
+    """The process-wide S-pair budget override, or None when unset."""
+    return _budget_override
+
+
 def resolve_pair_budget(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         if explicit <= 0:

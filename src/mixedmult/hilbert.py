@@ -94,6 +94,8 @@ class HilbertPolynomialRep:
     def evaluate(self, nu: tuple[int, ...]) -> Fraction:
         """Exact value at nu: integer numerators over the common
         denominator L of the coefficients, summed, then divided once."""
+        if len(nu) != self.ring.r:
+            raise ValueError("multidegree length mismatch")
         L = math.lcm(*(c.denominator for c in self.coefficients.values()))
         acc = 0
         for e, c in self.coefficients.items():
@@ -149,10 +151,18 @@ def _minimalize(gens: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _dimension_from_exps(gens: tuple[tuple[int, ...], ...], ring: RingSpec) -> int:
-    """Krull dimension of the quotient by a monomial ideal; -1 for the zero ring."""
+def _dimension_and_multiplicity(
+    gens: tuple[tuple[int, ...], ...], ring: RingSpec
+) -> tuple[int, int]:
+    """Krull dimension and coarsened multiplicity of the quotient by the
+    monomial ideal (gens), from one reading of its coarsened numerator;
+    (-1, 0) for the zero ring."""
     num = _knum(_minimalize(list(gens)), ring, "default")
-    return _lowest_form(LaurentPolyZ(ring.r, num.items()).coarsened(), ring.nvars)[0]
+    d, form = _lowest_form(LaurentPolyZ(ring.r, num.items()).coarsened(), ring.nvars)
+    e = sum(form.values())
+    if d >= 0 and e < 1:
+        raise InvariantViolation(f"coarsened multiplicity {e} < 1 for nonzero quotient")
+    return d, e
 
 
 def _lowest_form(
@@ -203,7 +213,9 @@ def monomial_dimension(I: Ideal) -> int:
     for g in I.generators:
         if not g.is_monomial():
             raise ValueError(f"non-monomial generator {g}")
-    return _dimension_from_exps(tuple(g.terms[0][0] for g in I.generators), I.ring)
+    return _dimension_and_multiplicity(
+        tuple(g.terms[0][0] for g in I.generators), I.ring
+    )[0]
 
 
 def _lt_exps(J: Ideal) -> tuple[tuple[int, ...], ...]:
@@ -213,7 +225,7 @@ def _lt_exps(J: Ideal) -> tuple[tuple[int, ...], ...]:
 
 def quotient_dimension(J: Ideal) -> int:
     """Krull dimension of B/J (via the leading-term ideal)."""
-    return _dimension_from_exps(_lt_exps(J), J.ring)
+    return _dimension_and_multiplicity(_lt_exps(J), J.ring)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +355,8 @@ def k_polynomial(J: Ideal, pivot_rule: str = "default") -> HilbertSeriesRep:
 def series_coefficient(rep: HilbertSeriesRep, nu: tuple[int, ...]) -> int:
     """Exact coefficient of t^nu in numerator / prod (1-t_i)^(D_i)."""
     D = rep.denominator_exponents
+    if len(nu) != len(D):
+        raise ValueError("multidegree length mismatch")
     acc = 0
     for a, c in rep.numerator.terms:
         term = c
@@ -482,15 +496,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _dimension_and_multiplicity(J: Ideal) -> tuple[int, int]:
-    """Krull dimension and coarsened multiplicity of B/J from one numerator."""
-    d, form = _lowest_form(k_polynomial(J).numerator.coarsened(), J.ring.nvars)
-    e = sum(form.values())
-    if d >= 0 and e < 1:
-        raise InvariantViolation(f"coarsened multiplicity {e} < 1 for nonzero quotient")
-    return d, e
-
-
 def coarsened_multiplicity(J: Ideal) -> int:
     """Multiplicity of the total-degree coarsening of B/J (0 for the zero ring)."""
-    return _dimension_and_multiplicity(J)[1]
+    J.require_multihomogeneous()
+    return _dimension_and_multiplicity(_lt_exps(J), J.ring)[1]

@@ -24,7 +24,7 @@ from operator import add, mul
 
 from .errors import InvariantViolation, NotMultihomogeneousError, PresentationMismatch
 from .groebner import Ideal, _drop_helpers, _lift, elimination_ideal, saturation
-from .hilbert import graded_piece_dim, hilbert_polynomial, quotient_dimension
+from .hilbert import hilbert_polynomial, k_polynomial, quotient_dimension, series_coefficient
 from .multigraded import block_ideal, random_block_form, slice_degree
 from .prng import Prng
 from .rings import Polynomial, RingSpec, parse_polynomial
@@ -680,7 +680,7 @@ def satfiber_dims(F: RationalMapSpec, q_max: int) -> SatFiberTable:
         )
         sat = saturation(Ideal(ring, gens_q), m)
         total = math.comb(q * delta + d, d)
-        dims.append(total - graded_piece_dim(sat, (q * delta,)))
+        dims.append(total - series_coefficient(k_polynomial(sat), (q * delta,)))
     levels = []
     cur = dims
     for _ in range(max(1, d)):

@@ -7,7 +7,8 @@ degenerate loci, which is exactly the part the Hilbert polynomial cannot
 see.  Multidegrees are the leading data of that polynomial.  The slicing
 verifier cuts the quotient with verified filter-regular hyperplanes,
 saturates, and counts points, giving an independent randomized route to
-the same numbers.
+the same numbers; the regularity test and the point count are both read
+off K-polynomials of saturations.
 """
 
 from __future__ import annotations
@@ -16,19 +17,15 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import InvariantViolation, SamplingExhausted
-from .groebner import (
-    Ideal,
-    groebner_basis,
-    ideal_quotient,
-    normal_form,
-    saturation,
-)
+from .groebner import Ideal, saturation
 from .hilbert import (
     MixedMultTable,
     _dimension_and_multiplicity,
-    graded_piece_dim,
+    _lt_exps,
     hilbert_polynomial,
+    k_polynomial,
     mixed_mult_series,
+    series_coefficient,
 )
 from .prng import Prng
 from .rings import DEGREE_ANY, Polynomial, RingSpec, degrevlex_order
@@ -71,48 +68,63 @@ def irrelevant_saturation(J: Ideal) -> Ideal:
     return sat
 
 
-def mixed_mult_polynomial(J: Ideal) -> MixedMultTable:
-    """Polynomial-route multiplicity table, cross-checked against the series.
+def compare_routes(J: Ideal) -> tuple[MixedMultTable, str | None]:
+    """Polynomial-route table and its disagreement with the series route.
 
     The leading coefficients of the Hilbert polynomial of B/J must agree
-    entrywise with the series extraction on the irrelevant saturation;
-    disagreement is an implementation bug, not an input condition.
+    entrywise with the series extraction on the irrelevant saturation, and
+    the series dimension must exceed the polynomial one by r.  Returns the
+    polynomial table and None when they agree, or a description of the
+    first disagreement; it never raises on one.
     """
     J.require_multihomogeneous()
-    ring = J.ring
     ptable = hilbert_polynomial(J).leading_table()
     sat = irrelevant_saturation(J)
     if sat.is_unit_ideal():
         if ptable.dimension is not None:
-            raise InvariantViolation(
+            return ptable, (
                 "empty multiprojective support but nonzero Hilbert polynomial"
             )
-        return ptable
-    stable = mixed_mult_series(sat)
+        return ptable, None
     if ptable.dimension is None:
-        raise InvariantViolation(
-            "zero Hilbert polynomial but nonempty saturated quotient"
-        )
-    if stable.dimension != ptable.dimension + ring.r:
-        raise InvariantViolation(
+        return ptable, "zero Hilbert polynomial but nonempty saturated quotient"
+    stable = mixed_mult_series(sat)
+    if stable.dimension != ptable.dimension + J.ring.r:
+        return ptable, (
             f"route dimension mismatch: series {stable.dimension}, "
-            f"polynomial {ptable.dimension} + r {ring.r}"
+            f"polynomial {ptable.dimension} + r {J.ring.r}"
         )
     if stable.entries != ptable.entries:
-        raise InvariantViolation(
+        return ptable, (
             f"route disagreement: series {stable.entries}, "
             f"polynomial {ptable.entries}"
         )
+    return ptable, None
+
+
+def mixed_mult_polynomial(J: Ideal) -> MixedMultTable:
+    """Polynomial-route multiplicity table, cross-checked against the series.
+
+    A disagreement found by ``compare_routes`` is an implementation bug,
+    not an input condition, and raises InvariantViolation.
+    """
+    ptable, mismatch = compare_routes(J)
+    if mismatch is not None:
+        raise InvariantViolation(mismatch)
     return ptable
 
 
 @dataclass(frozen=True)
 class FilterRegularWitness:
-    """Certificate for the colon-containment filter-regularity test."""
+    """Outcome of the filter-regularity test of ``element``.
+
+    ``saturation_ideal`` is J^sat = (J : N^inf), the ideal whose quotient
+    the test showed ``element`` to be (``passed``) or not to be a
+    nonzerodivisor on.
+    """
 
     element: Polynomial
     passed: bool
-    colon_ideal: Ideal
     saturation_ideal: Ideal
 
 
@@ -125,15 +137,33 @@ def _linear_block_of(h: Polynomial) -> int:
 
 
 def is_filter_regular(J: Ideal, h: Polynomial) -> FilterRegularWitness:
-    """Test (J : h) contained in (J : N^inf), i.e. h avoids every
-    associated prime of B/J outside V(N)."""
-    _linear_block_of(h)
-    colon = ideal_quotient(J, h)
+    """Test (J : h) contained in J^sat = (J : N^inf), i.e. h avoids every
+    associated prime of B/J outside V(N), by comparing two K-polynomials.
+
+    The containment holds iff h is a nonzerodivisor on M = B/J^sat.
+    (<=) J : h ⊆ J^sat : h = J^sat.  (=>) If g·h ∈ J^sat, then
+    N^m·g·h ⊆ J for some m, so N^m·g ⊆ J : h ⊆ J^sat and g ∈ J^sat.
+
+    With e the unit vector of h's block, multiplication by h gives the
+    exact sequence of multigraded modules
+
+        0 -> (0 :_M h)(-e) -> M(-e) --h--> M -> M/hM -> 0,
+
+    and Hilbert series are additive along it, so over the common
+    denominator K(M/hM) = K(M) - t^e·K(M) + t^e·K(0 :_M h), where
+    M/hM = B/(J^sat + h).  The last term is the numerator of the series of
+    0 :_M h, whose coefficients are the dimensions of its pieces: all
+    nonnegative, and all zero only when the module is.  So h is a
+    nonzerodivisor on M iff K(J^sat + h) = K(J^sat)·(1 - t^e).
+    """
+    block = _linear_block_of(h)
+    ring = J.ring
     sat = irrelevant_saturation(J.with_shift(None))
-    G = groebner_basis(sat)
-    passed = all(normal_form(g, G).is_zero() for g in colon.generators)
+    base = k_polynomial(sat).numerator
+    cut = k_polynomial(Ideal(ring, sat.generators + (h,))).numerator
+    e = tuple(int(i == block) for i in range(ring.r))
     return FilterRegularWitness(
-        element=h, passed=passed, colon_ideal=colon, saturation_ideal=sat
+        element=h, passed=cut == base - base.shifted(e), saturation_ideal=sat
     )
 
 
@@ -208,7 +238,7 @@ def mixed_mult_via_slicing(J: Ideal, n: tuple[int, ...], seed: Prng | int) -> in
     J.require_multihomogeneous()
     sliced, _, _ = _sliced_by_verified_forms(J, tuple(n), rng)
     sat = irrelevant_saturation(sliced)
-    d, e = _dimension_and_multiplicity(sat)
+    d, e = _dimension_and_multiplicity(_lt_exps(sat), sat.ring)
     return e if d == J.ring.r else 0
 
 
@@ -260,10 +290,9 @@ class SliceReport:
 def _slice_point_count(J: Ideal, n: tuple[int, ...], rng: Prng) -> tuple[int, int]:
     """(point count, resamples) for one verified slicing trial."""
     sliced, _, resamples = _sliced_by_verified_forms(J, n, rng)
-    sat = irrelevant_saturation(sliced)
-    threshold = hilbert_polynomial(sat).validity_threshold
-    nu = tuple(max(t, 0) + 2 for t in threshold)
-    return graded_piece_dim(sat, nu), resamples
+    rep = k_polynomial(irrelevant_saturation(sliced))
+    nu = tuple(max(t, 0) + 2 for t in rep.numerator.max_exponents())
+    return series_coefficient(rep, nu), resamples
 
 
 def slice_degree(

@@ -20,7 +20,10 @@ from mixedmult import (
     elimination_ideal,
     groebner_basis,
     ideal_intersection,
+    ideal_quotient,
+    irrelevant_saturation,
     k_polynomial,
+    normal_form,
     parse_polynomial,
 )
 from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _buchberger, _lift, _project
@@ -174,6 +177,17 @@ def per_generator_saturation(J: Ideal, K: Ideal) -> Ideal:
             inter = ideal_intersection(result, part)
             result = Ideal(J.ring, groebner_basis(inter).elements)
     return Ideal(J.ring, groebner_basis(result).elements)
+
+
+def colon_filter_regular(J: Ideal, h: Polynomial) -> bool:
+    """Reference filter-regularity test: (J : h) contained in J^sat.
+
+    The colon comes from ``ideal_quotient`` (an intersection elimination
+    and exact division) and each of its generators is reduced to a normal
+    form against the saturation's basis.
+    """
+    G = groebner_basis(irrelevant_saturation(J.with_shift(None)))
+    return all(normal_form(g, G).is_zero() for g in ideal_quotient(J, h).generators)
 
 
 def _binomial_poly(shift: int, k: int) -> list[Fraction]:

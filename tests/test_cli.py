@@ -8,6 +8,9 @@ import subprocess
 
 import pytest
 
+import mixedmult.multigraded as mg
+from mixedmult import MixedMultTable, set_pair_budget
+from mixedmult.groebner import resolve_pair_budget
 from mixedmult.cli import run
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
@@ -237,6 +240,55 @@ def test_allow_failed_checks_forces_success(capsys, monkeypatch):
     )
     assert rc == 0
     assert report_of(out)["failed_checks"] == ["g_condition"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mixed-mult", "--input", f"{INPUTS}/diag.json"],
+        ["multidegree", "--input", f"{INPUTS}/diag.json", "--type", "1,0"],
+    ],
+    ids=["mixed-mult", "multidegree"],
+)
+def test_route_disagreement_fails_the_check(argv, capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    real = mg.mixed_mult_series
+    monkeypatch.setattr(
+        mg,
+        "mixed_mult_series",
+        lambda J: MixedMultTable(real(J).dimension, "series", {(9, 9): 1}),
+    )
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 1
+    rep = report_of(out)
+    assert rep["failed_checks"] == ["route_agreement"]
+    check = rep["checks"][0]
+    assert check["name"] == "route_agreement" and check["passed"] is False
+
+
+def test_multidegree_type_length_mismatch(capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, _ = run_cli(
+        capsys, "multidegree", "--input", f"{INPUTS}/diag.json", "--type", "1,0,0"
+    )
+    assert rc == 1
+    assert report_of(out)["error"] == {
+        "type": "ValueError",
+        "message": "type vector length mismatch",
+    }
+
+
+def test_run_restores_the_callers_pair_budget(capsys):
+    set_pair_budget(5000)
+    try:
+        for extra in ((), ("--pair-budget", "7")):
+            rc, _, _ = run_cli(
+                capsys, "formula", "--ht2", "--d", "2", "--mu", "1,1,1", *extra
+            )
+            assert rc == 0
+            assert resolve_pair_budget() == 5000
+    finally:
+        set_pair_budget(None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -291,6 +292,17 @@ def test_series_coefficients_match_piece_dimensions():
                 assert series_coefficient(rep, (a, b)) == graded_piece_dim(
                     J, (a, b)
                 )
+
+
+def test_wrong_length_multidegrees_are_rejected():
+    J = mk(R, "x0*y0 + x1*y1")
+    rep, poly = k_polynomial(J), hilbert_polynomial(J)
+    assert series_coefficient(rep, (3, 3)) == graded_piece_dim(J, (3, 3)) == 7
+    assert poly.evaluate((5, 5)) == graded_piece_dim(J, (5, 5)) == 11
+    for nu in ((3,), (3, 3, 3)):
+        for read in (partial(series_coefficient, rep), poly.evaluate, poly.evaluate_int):
+            with pytest.raises(ValueError, match="multidegree length mismatch"):
+                read(nu)
 
 
 # ---------------------------------------------------------------------------

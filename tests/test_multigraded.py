@@ -3,18 +3,23 @@
 import itertools
 
 import pytest
+from hypothesis import event, given, strategies as st
 
 from mixedmult import (
     Ideal,
+    InvariantViolation,
+    MixedMultTable,
     NotMultihomogeneousError,
     Polynomial,
     Prng,
     RationalMapSpec,
     SamplingExhausted,
     graded_piece_dim,
+    ideal_quotient,
     irrelevant_ideal,
     irrelevant_saturation,
     is_filter_regular,
+    k_polynomial,
     mixed_mult_polynomial,
     mixed_mult_series,
     mixed_mult_via_slicing,
@@ -22,11 +27,20 @@ from mixedmult import (
     quotient_dimension,
     random_block_form,
     rees_ideal,
+    series_coefficient,
     slice_degree,
 )
 import mixedmult.multigraded as mg
 
-from helpers import intersection_irrelevant_ideal, mk, p1xp1, pp, ring_blocks
+from helpers import (
+    CHAR,
+    colon_filter_regular,
+    intersection_irrelevant_ideal,
+    mk,
+    p1xp1,
+    pp,
+    ring_blocks,
+)
 
 R = p1xp1()
 DIAGONAL = mk(R, "x0*y1 - x1*y0")
@@ -138,6 +152,22 @@ def test_routes_agree_after_saturation():
     assert stable.dimension == ptable.dimension + R.r
 
 
+def test_route_disagreement_is_reported_then_raised(monkeypatch):
+    real = mg.mixed_mult_series
+    ptable, mismatch = mg.compare_routes(DIAGONAL)
+    assert mismatch is None and ptable == mixed_mult_polynomial(DIAGONAL)
+    monkeypatch.setattr(
+        mg,
+        "mixed_mult_series",
+        lambda J: MixedMultTable(real(J).dimension, "series", {(9, 9): 1}),
+    )
+    ptable, mismatch = mg.compare_routes(DIAGONAL)
+    assert ptable.entries == {(1, 0): 1, (0, 1): 1}
+    assert mismatch.startswith("route disagreement")
+    with pytest.raises(InvariantViolation, match="route disagreement"):
+        mixed_mult_polynomial(DIAGONAL)
+
+
 # ---------------------------------------------------------------------------
 # Filter-regularity
 
@@ -147,7 +177,7 @@ def test_filter_regular_witness_passes():
     w = is_filter_regular(J, pp(RXY, "y"))
     assert w.passed
     assert w.element == pp(RXY, "y")
-    assert w.colon_ideal.same_ideal(mk(RXY, "x"))
+    assert ideal_quotient(J, pp(RXY, "y")).same_ideal(mk(RXY, "x"))
     assert w.saturation_ideal.same_ideal(mk(RXY, "x"))
 
 
@@ -155,7 +185,7 @@ def test_filter_regular_witness_fails():
     J = mk(RXY, "x^2", "x*y")
     w = is_filter_regular(J, pp(RXY, "x"))
     assert not w.passed
-    assert w.colon_ideal.same_ideal(mk(RXY, "x", "y"))
+    assert ideal_quotient(J, pp(RXY, "x")).same_ideal(mk(RXY, "x", "y"))
 
 
 def test_filter_regular_on_zero_module():
@@ -172,6 +202,96 @@ def test_filter_regular_rejects_bad_elements():
         is_filter_regular(J, Polynomial.zero(RXY))
     with pytest.raises(ValueError):
         is_filter_regular(DIAGONAL, pp(R, "x0 + y0"))
+
+
+@st.composite
+def small_block_rings(draw):
+    """Rings of 2 blocks of 1-3 variables or 3 blocks of 1-2 variables;
+    the first block has at least 2."""
+    r = draw(st.sampled_from((2, 3)))
+    top = 3 if r == 2 else 2
+    sizes = [draw(st.integers(2, top))]
+    sizes += draw(st.lists(st.integers(1, top), min_size=r - 1, max_size=r - 1))
+    names = iter("abcdefghi")
+    return ring_blocks(*(tuple(next(names) for _ in range(k)) for k in sizes))
+
+
+@st.composite
+def multihomogeneous_forms(draw, ring):
+    """A nonzero form of one drawn multidegree, up to three terms.
+
+    Block degrees stay at most 1 in three blocks: the irrelevant
+    saturation there is one elimination with 8 helpers, which can take
+    minutes on forms of block degree 2.
+    """
+    top = 2 if ring.r == 2 else 1
+    deg = draw(st.lists(st.integers(0, top), min_size=ring.r, max_size=ring.r))
+    if not any(deg):
+        deg[0] = 1
+    per_block = [
+        [c for c in itertools.product(range(x + 1), repeat=hi - lo) if sum(c) == x]
+        for x, (lo, hi) in zip(deg, ring.block_slices)
+    ]
+    monomials = [sum(parts, ()) for parts in itertools.product(*per_block)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(1, CHAR - 1), min_size=len(chosen), max_size=len(chosen)))
+    return Polynomial(ring, tuple(zip(chosen, coeffs)))
+
+
+@st.composite
+def block_linear_forms(draw, ring, wide_only=False):
+    """A variable or a linear form with drawn coefficients, in one block
+    (with wide_only, a block of at least 2 variables)."""
+    blocks = [b for b, k in enumerate(ring.block_sizes) if k > 1 or not wide_only]
+    lo, hi = ring.block_slices[draw(st.sampled_from(blocks))]
+    if draw(st.booleans()):
+        i = draw(st.integers(lo, hi - 1))
+        return Polynomial.variable(ring, ring.variables[i])
+    coeffs = draw(st.lists(st.integers(0, CHAR - 1), min_size=hi - lo, max_size=hi - lo))
+    if not any(coeffs):
+        coeffs[0] = 1
+    terms = [
+        (tuple(int(j == i) for j in range(ring.nvars)), c)
+        for i, c in zip(range(lo, hi), coeffs)
+    ]
+    return Polynomial(ring, terms)
+
+
+@st.composite
+def filter_regularity_cases(draw):
+    """(J, h): J = h*J' + J'' (planted, mostly non-regular) or J drawn freely.
+
+    A form h in a block of one variable x is always filter-regular, since
+    N lies in (x) and so J : h lies in J : N; planted cases avoid them.
+    """
+    ring = draw(small_block_rings())
+    planted = draw(st.sampled_from((True, True, False)))
+    h = draw(block_linear_forms(ring, wide_only=planted))
+    forms = multihomogeneous_forms(ring)
+    rest = draw(st.lists(forms, min_size=0, max_size=1 if planted else 2))
+    if planted:
+        multiples = draw(st.lists(forms, min_size=1, max_size=2))
+        return Ideal(ring, [h * g for g in multiples] + rest), h
+    return Ideal(ring, rest + [draw(forms)]), h
+
+
+@given(case=filter_regularity_cases())
+def test_filter_regular_matches_colon_containment(case):
+    J, h = case
+    passed = is_filter_regular(J, h).passed
+    event("regular" if passed else "not regular")
+    assert passed == colon_filter_regular(J, h)
+
+
+@given(J=filter_regularity_cases().map(lambda case: case[0]), data=st.data())
+def test_series_coefficient_counts_saturated_slices(J, data):
+    ring = J.ring
+    cuts = data.draw(st.lists(block_linear_forms(ring), max_size=2))
+    sat = irrelevant_saturation(Ideal(ring, J.generators + tuple(cuts)))
+    rep = k_polynomial(sat)
+    top = tuple(max(t, 0) + 2 for t in rep.numerator.max_exponents())
+    nu = data.draw(st.sampled_from([top, (0,) * ring.r, (1,) * ring.r]))
+    assert series_coefficient(rep, nu) == graded_piece_dim(sat, nu)
 
 
 # ---------------------------------------------------------------------------
