@@ -533,6 +533,8 @@ def run(argv=None) -> int:
             if not isinstance(data, dict):
                 raise UsageError("input must be a JSON object")
         if args.pair_budget is not None:
+            if args.pair_budget <= 0:
+                raise UsageError("--pair-budget must be positive")
             set_pair_budget(args.pair_budget)
 
         report = {

@@ -37,10 +37,9 @@ Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
   fields hold the largest input degree.  Sums of two guard-free fields
   never carry into the next field, so an overflow shows as a guard bit of
   the first popped term it reaches, and the run restarts at double width.
-  ``_buchberger`` packs its input once (``struct`` over a permutation
-  ``itemgetter`` for fields up to 64 bits), builds monic basis elements
+  ``_buchberger`` packs its input once, builds monic basis elements
   straight from packed remainders and unpacks only the final basis;
-  ``normal_form`` packs a basis once, into a slot on ``GroebnerBasis``.
+  ``normal_form`` packs its basis on each call and restarts the same way.
 
 Every ideal returned by elimination, intersection, colon or saturation
 holds its reduced degrevlex basis, and ``groebner_basis`` returns that
@@ -55,10 +54,9 @@ original ring keeps that basis; the colon is read from a degrevlex run.
 from __future__ import annotations
 
 import os
-import struct
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExponentOverflow, NotMultihomogeneousError, PairBudgetExceeded
@@ -174,9 +172,6 @@ class Ideal:
         out._basis = self._basis
         return out
 
-    def multidegrees(self) -> tuple:
-        return tuple(g.multidegree() for g in self.generators)
-
     def require_multihomogeneous(self) -> None:
         for g in self.generators:
             if g.multidegree() is None:
@@ -202,13 +197,10 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, autoreduced, sorted by leading term.
+    """Reduced Groebner basis: monic, autoreduced, sorted by leading term,
+    with the leading exponents of its elements under ``order``."""
 
-    ``_packed`` is filled by the first ``normal_form`` against the basis:
-    its packing and its elements as packed reducers.
-    """
-
-    __slots__ = ("ring", "order", "elements", "leading_exps", "_packed")
+    __slots__ = ("ring", "order", "elements", "leading_exps")
 
     def __init__(self, ring: RingSpec, order: TermOrder, elements: Sequence[Polynomial]):
         self.ring = ring
@@ -217,7 +209,6 @@ class GroebnerBasis:
         self.leading_exps = tuple(
             g.lead_exps(order) for g in self.elements
         )
-        self._packed = None
 
     @classmethod
     def _with_leads(
@@ -234,7 +225,6 @@ class GroebnerBasis:
         G.order = order
         G.elements = tuple(elements)
         G.leading_exps = tuple(leading_exps)
-        G._packed = None
         return G
 
     def contains(self, p: Polynomial) -> bool:
@@ -267,7 +257,12 @@ class _Packing:
     total degree; ``flip`` turns a key into the plain value and back,
     ``guard`` holds every guard bit, ``cap`` the bits of exponents above
     ``MAX_EXPONENT`` (0 where no field can hold one) and ``one`` is the key
-    of the monomial 1."""
+    of the monomial 1.
+
+    One codec serves every width.  Variable i has its field at bit offset
+    ``shifts[i]``; its exponent adds to that field and, in the key, takes
+    away from the complemented degree field of its block, so a key is
+    ``flip`` plus one weighted sum of the exponents."""
 
     __slots__ = ("width", "flip", "guard", "cap", "one", "pack", "unpack", "degree")
 
@@ -280,83 +275,46 @@ class _Packing:
             kept = tuple(i for i in range(n) if i not in dropset)
             blocks = [kept, order.drop] if kept else [order.drop]
         ones = (1 << width) - 1
-        layout: list[int] = []  # variable index per variable field, low to high
-        var_shifts: list[int] = []
+        shifts = [0] * n  # bit offset of each variable's field, by index
+        weights = [0] * n  # what one unit of each exponent adds to a key
         deg_shifts: list[int] = []
         pos = 0
         for block in blocks:
+            top = pos + len(block) * width
             for i in block:
-                layout.append(i)
-                var_shifts.append(pos * width)
-                pos += 1
-            deg_shifts.append(pos * width)
-            pos += 1
+                shifts[i] = pos
+                weights[i] = (1 << pos) - (1 << top)
+                pos += width
+            deg_shifts.append(top)
+            pos += width
         self.width = width
-        self.flip = sum(ones << s for s in deg_shifts)
-        self.guard = sum(1 << (s + width - 1) for s in range(0, pos * width, width))
+        self.flip = flip = sum(ones << s for s in deg_shifts)
+        self.guard = sum(1 << (s + width - 1) for s in range(0, pos, width))
         self.cap = (
-            sum((ones ^ MAX_EXPONENT) << s for s in var_shifts) if width > 32 else 0
+            sum((ones ^ MAX_EXPONENT) << s for s in shifts) if width > 32 else 0
         )
-        self.one = self.flip
-        identity = layout == list(range(n))
-        to_layout = None if identity else itemgetter(*layout)
-        at = {i: k for k, i in enumerate(layout)}
-        to_vars = None if identity else itemgetter(*(at[i] for i in range(n)))
-        flip = self.flip
+        self.one = flip
 
-        if width <= 64:
-            code = {16: "H", 32: "I", 64: "Q"}[width]
-            pad = f"{width // 8}x"
-            fmt = "<" + pad.join(f"{len(b)}{code}" for b in blocks) + pad
-            codec = struct.Struct(fmt)
-            spack, sunpack, size = codec.pack, codec.unpack, codec.size
-            from_bytes = int.from_bytes
+        def pack(e):
+            return sum(map(mul, e, weights), flip)
 
-            def var_part(v):
-                return from_bytes(spack(*v), "little")
+        def unpack(k):
+            m = k ^ flip
+            return tuple([(m >> s) & ones for s in shifts])
 
-            def var_values(m):
-                return sunpack(m.to_bytes(size, "little"))
-
-        else:
-
-            def var_part(v):
-                return sum(x << s for x, s in zip(v, var_shifts))
-
-            def var_values(m):
-                return tuple((m >> s) & ones for s in var_shifts)
-
+        # ``_reduce`` reads one degree per reduction step: a reader per
+        # block count is faster there than a sum over the degree fields
         if len(blocks) == 1:
-            top = deg_shifts[0]
-
-            def pack(e):
-                v = e if to_layout is None else to_layout(e)
-                return var_part(v) + flip - (sum(e) << top)
+            (top,) = deg_shifts
 
             def degree(m):
                 return m >> top
 
         else:
-            nk = len(blocks[0])
             low, top = deg_shifts
-
-            def pack(e):
-                v = e if to_layout is None else to_layout(e)
-                dk = sum(v[:nk])
-                return var_part(v) + flip - (dk << low) - ((sum(e) - dk) << top)
 
             def degree(m):
                 return (m >> top) + ((m >> low) & ones)
-
-        if to_vars is None:
-
-            def unpack(k):
-                return var_values(k ^ flip)
-
-        else:
-
-            def unpack(k):
-                return to_vars(var_values(k ^ flip))
 
         self.pack = pack
         self.unpack = unpack
@@ -448,9 +406,7 @@ def _reduce(
 # Buchberger with Gebauer-Moller pruning and sugar selection
 
 def groebner_basis(
-    J: Ideal | Sequence[Polynomial],
-    order: Optional[TermOrder] = None,
-    budget: Optional[int] = None,
+    J: Ideal, order: Optional[TermOrder] = None, budget: Optional[int] = None
 ) -> GroebnerBasis:
     """Reduced Groebner basis of J under ``order`` (default degrevlex).
 
@@ -465,20 +421,12 @@ def groebner_basis(
     resolved and validated first.
     """
     budget = resolve_pair_budget(budget)
-    if isinstance(J, Ideal):
-        ring = J.ring
-        gens = J.generators
-        held = J._basis
-        if held is not None and (order is None or order == held.order):
-            return held
-    else:
-        gens = tuple(J)
-        if not gens:
-            raise ValueError("cannot infer ring from an empty generator list")
-        ring = gens[0].ring
+    held = J._basis
+    if held is not None and (order is None or order == held.order):
+        return held
     if order is None:
-        order = degrevlex_order(ring)
-    return _buchberger(ring, frozenset(gens), order, budget)
+        order = degrevlex_order(J.ring)
+    return _buchberger(J.ring, frozenset(J.generators), order, budget)
 
 
 # One benchmark pass of many small saturations makes under 800 distinct
@@ -634,33 +582,26 @@ def _packed_run(
     return GroebnerBasis._with_leads(ring, order, elements, [leads[i] for i in minimal])
 
 
-def _packed_basis(G: GroebnerBasis, width: int) -> tuple[_Packing, list]:
-    """G's packing and packed reducers at ``width`` bits or more, filling
-    (or widening) the slot ``G._packed``."""
-    if G._packed is None or G._packed[0].width < width:
-        width = max(width, _width_for(max(g.total_degree() for g in G.elements)))
-        pk = _Packing(G.order, width)
-        entries = [pk.entry(lead, g.terms) for g, lead in zip(G.elements, G.leading_exps)]
-        G._packed = (pk, entries)
-    return G._packed
-
-
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Unique remainder of p modulo G under G's order."""
+    """Unique remainder of p modulo G under G's order.
+
+    Packs G and p at the smallest width holding both and, as a Buchberger
+    run does, restarts at double width when the reduction overflows."""
     if p.ring != G.ring:
         raise ValueError("polynomial and basis over different rings")
     if p.is_zero() or not G.elements:
         return p
-    width = _width_for(p.total_degree())
+    width = _width_for(max(g.total_degree() for g in (p, *G.elements)))
     while True:
-        pk, entries = _packed_basis(G, width)
+        pk = _Packing(G.order, width)
+        entries = [pk.entry(lead, g.terms) for g, lead in zip(G.elements, G.leading_exps)]
         pack = pk.pack
         try:
             red, _ = _reduce(
                 {pack(e): c for e, c in p.terms}, entries, pk, p.ring.characteristic
             )
         except _FieldOverflow:
-            width = 2 * pk.width
+            width *= 2
             continue
         unpack = pk.unpack
         return Polynomial(p.ring, ((unpack(k), c) for k, c in red.items()))

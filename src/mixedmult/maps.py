@@ -435,11 +435,9 @@ def submaximal_pfaffians(M: PresentationMatrix) -> list[Polynomial]:
 
 
 def random_alternating_matrix(
-    ring: RingSpec, size: int, rng: Prng | int, entry_degree: int = 1
+    ring: RingSpec, size: int, rng: Prng | int
 ) -> PresentationMatrix:
     """Seeded random alternating matrix with linear entries."""
-    if entry_degree != 1:
-        raise ValueError("only linear entries are generated")
     if not isinstance(rng, Prng):
         rng = Prng(rng)
     zero = Polynomial.zero(ring)

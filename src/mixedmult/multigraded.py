@@ -194,14 +194,13 @@ def multidegree(J: Ideal, n: tuple[int, ...]) -> int:
 
 def _sliced_by_verified_forms(
     J: Ideal, n: tuple[int, ...], rng: Prng
-) -> tuple[Ideal, list[Polynomial], int]:
+) -> tuple[Ideal, int]:
     """J plus a verified filter-regular sequence of n_i forms per block.
 
-    Returns (sliced ideal, forms, resample count).  Raises
+    Returns (sliced ideal, resample count).  Raises
     SamplingExhausted after MAX_RESAMPLES failures on a single slot.
     """
     current = J.with_shift(None)
-    forms: list[Polynomial] = []
     resamples = 0
     for block, count in enumerate(n):
         for slot in range(count):
@@ -220,9 +219,8 @@ def _sliced_by_verified_forms(
                 if is_filter_regular(current, h).passed:
                     break
                 resamples += 1
-            forms.append(h)
             current = Ideal(J.ring, current.generators + (h,))
-    return current, forms, resamples
+    return current, resamples
 
 
 def mixed_mult_via_slicing(J: Ideal, n: tuple[int, ...], seed: Prng | int) -> int:
@@ -236,7 +234,7 @@ def mixed_mult_via_slicing(J: Ideal, n: tuple[int, ...], seed: Prng | int) -> in
     if len(n) != J.ring.r or any(k < 0 for k in n):
         raise ValueError("type vector must be componentwise nonnegative")
     J.require_multihomogeneous()
-    sliced, _, _ = _sliced_by_verified_forms(J, tuple(n), rng)
+    sliced, _ = _sliced_by_verified_forms(J, tuple(n), rng)
     sat = irrelevant_saturation(sliced)
     d, e = _dimension_and_multiplicity(_lt_exps(sat), sat.ring)
     return e if d == J.ring.r else 0
@@ -289,7 +287,7 @@ class SliceReport:
 
 def _slice_point_count(J: Ideal, n: tuple[int, ...], rng: Prng) -> tuple[int, int]:
     """(point count, resamples) for one verified slicing trial."""
-    sliced, _, resamples = _sliced_by_verified_forms(J, n, rng)
+    sliced, resamples = _sliced_by_verified_forms(J, n, rng)
     rep = k_polynomial(irrelevant_saturation(sliced))
     nu = tuple(max(t, 0) + 2 for t in rep.numerator.max_exponents())
     return series_coefficient(rep, nu), resamples

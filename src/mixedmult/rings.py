@@ -490,18 +490,6 @@ class LaurentPolyZ:
                 acc.pop(exps, None)
         self.terms = tuple((e, acc[e]) for e in sorted(acc))
 
-    @staticmethod
-    def zero(r: int) -> "LaurentPolyZ":
-        return LaurentPolyZ(r, ())
-
-    @staticmethod
-    def one(r: int) -> "LaurentPolyZ":
-        return LaurentPolyZ(r, (((0,) * r, 1),))
-
-    @staticmethod
-    def monomial(r: int, exps: tuple[int, ...], c: int = 1) -> "LaurentPolyZ":
-        return LaurentPolyZ(r, ((exps, c),))
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -295,6 +295,16 @@ def test_run_restores_the_callers_pair_budget(capsys):
 # Exit code 2: usage and input errors, diagnostic on stderr
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_nonpositive_pair_budget_is_a_usage_error(capsys, budget):
+    rc, out, err = run_cli(
+        capsys, "formula", "--ht2", "--d", "2", "--mu", "1,1,1", "--pair-budget", budget
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "mm: --pair-budget must be positive\n"
+
+
 def test_malformed_json_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -302,23 +302,22 @@ def test_exponent_above_cap_raises_like_tuple_oracle(widths, exprs, drop, budget
     assert widths == expected
 
 
-def test_normal_form_widens_the_packed_slot(widths):
-    """The basis packs once into its slot, keeps it for later normal forms
-    and widens it when a reduction overflows or an input needs wider
-    fields; every normal form equals the tuple kernel's."""
+def test_normal_form_packs_on_each_call(widths):
+    """Every normal form packs the basis anew, at the smallest width that
+    holds the basis and the input, and doubles it when the reduction
+    overflows; every normal form equals the tuple kernel's."""
     G = both_runs(("t - x0^20000", "x1^3 - x2"), ("t",))
-    assert G._packed is None and widths == [16]
-    for f in ("x1^4 + x0", "t*x1^3 + x1"):
-        assert gb.normal_form(pp(WIDE, f), G) == tuple_normal_form(pp(WIDE, f), G)
-    slot = G._packed
-    assert slot[0].width == 16 and widths == [16, 16]
-    # t^2 reduces to x0^40000, past the 16-bit fields: the slot widens
-    f = pp(WIDE, "t^2 + x1")
-    assert gb.normal_form(f, G) == tuple_normal_form(f, G) == pp(WIDE, "x0^40000 + x1")
-    assert G._packed[0].width == 32 and widths == [16, 16, 32]
-    f = pp(WIDE, "x0^70000*t + x1^5")
-    assert gb.normal_form(f, G) == tuple_normal_form(f, G)
-    assert widths == [16, 16, 32]
-    G._packed = None
-    assert gb.normal_form(f, G) == tuple_normal_form(f, G)
-    assert widths == [16, 16, 32, 32]
+    assert widths == [16]
+    for expr, packed in (
+        ("x1^4 + x0", [16]),
+        ("t*x1^3 + x1", [16]),
+        # t^2 reduces to x0^40000, past the 16-bit fields
+        ("t^2 + x1", [16, 32]),
+        # degree 70001 needs 32-bit fields from the start
+        ("x0^70000*t + x1^5", [32]),
+    ):
+        widths.clear()
+        f = pp(WIDE, expr)
+        assert gb.normal_form(f, G) == tuple_normal_form(f, G)
+        assert widths == packed
+    assert gb.normal_form(pp(WIDE, "t^2 + x1"), G) == pp(WIDE, "x0^40000 + x1")

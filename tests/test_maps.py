@@ -454,12 +454,6 @@ def test_random_alternating_matrix_structure():
     assert M.entry_degree == 1
 
 
-def test_random_alternating_matrix_rejects_higher_degree():
-    ring = ring_blocks(("x0", "x1"))
-    with pytest.raises(ValueError, match="linear"):
-        random_alternating_matrix(ring, 3, 0, entry_degree=2)
-
-
 def test_random_alternating_matrix_even_size_fails_validation():
     ring = ring_blocks(("x0", "x1", "x2"))
     with pytest.raises(ValueError, match="odd size"):
