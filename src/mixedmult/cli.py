@@ -25,7 +25,12 @@ from .errors import (
     PresentationMismatch,
     SamplingExhausted,
 )
-from .groebner import Ideal, pair_budget_override, set_pair_budget
+from .groebner import (
+    Ideal,
+    pair_budget_override,
+    resolve_pair_budget,
+    set_pair_budget,
+)
 from .hilbert import (
     coarsened_multiplicity,
     graded_piece_dim,
@@ -532,10 +537,14 @@ def run(argv=None) -> int:
                 raise UsageError(f"malformed JSON in {args.input}: {e}") from e
             if not isinstance(data, dict):
                 raise UsageError("input must be a JSON object")
-        if args.pair_budget is not None:
-            if args.pair_budget <= 0:
-                raise UsageError("--pair-budget must be positive")
-            set_pair_budget(args.pair_budget)
+        if args.pair_budget is not None and args.pair_budget <= 0:
+            raise UsageError("--pair-budget must be positive")
+        # resolved once, so a bad MM_PAIR_BUDGET is a usage error for every
+        # command, not a math failure inside the first Groebner basis
+        try:
+            set_pair_budget(resolve_pair_budget(args.pair_budget))
+        except ValueError as e:
+            raise UsageError(str(e)) from e
 
         report = {
             "schema_version": SCHEMA_VERSION,

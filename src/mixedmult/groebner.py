@@ -1,7 +1,10 @@
 """Buchberger engine and ideal-theoretic primitives.
 
-The S-pair queue is pruned with the Gebauer-Moller update and pairs are
-selected by (sugar, leading-term key), so runs are deterministic; the final
+The S-pair queue is pruned with the Gebauer-Moller update (JSC 1988): each
+new element drops old pairs by the chain criterion, then makes one pair per
+minimal distinct lcm with it, in one pass over those lcms sorted by degree,
+and none where the product criterion applies.  Pairs are selected by
+(sugar, leading-term key), so runs are deterministic; the final
 basis is inter-reduced and monic, hence the unique reduced Groebner basis
 of the ideal for the given order.  Elimination is one run in a block
 elimination order.  Intersection, colon and saturation append helper
@@ -178,9 +181,6 @@ class Ideal:
                 raise NotMultihomogeneousError(
                     f"generator {g} is not multihomogeneous"
                 )
-
-    def is_monomial_ideal(self) -> bool:
-        return all(g.is_monomial() for g in self.generators)
 
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, groebner_basis(self)).is_zero()
@@ -405,9 +405,7 @@ def _reduce(
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moller pruning and sugar selection
 
-def groebner_basis(
-    J: Ideal, order: Optional[TermOrder] = None, budget: Optional[int] = None
-) -> GroebnerBasis:
+def groebner_basis(J: Ideal, order: Optional[TermOrder] = None) -> GroebnerBasis:
     """Reduced Groebner basis of J under ``order`` (default degrevlex).
 
     The Buchberger run is memoized on (ring, generator set, order, pair
@@ -420,7 +418,7 @@ def groebner_basis(
     degrevlex with no run, so no pair budget limits it; the budget is still
     resolved and validated first.
     """
-    budget = resolve_pair_budget(budget)
+    budget = resolve_pair_budget()
     held = J._basis
     if held is not None and (order is None or order == held.order):
         return held
@@ -456,9 +454,8 @@ def _packed_run(
 ) -> GroebnerBasis:
     """One Buchberger run of ``_buchberger`` at the field width of ``pk``."""
     p = ring.characteristic
-    pack, unpack = pk.pack, pk.unpack
+    pack, unpack, flip = pk.pack, pk.unpack, pk.flip
     entries: list = []  # packed (lead, tail) per basis element
-    lead_keys: list[int] = []
     sugars: list[int] = []
     leads: list[tuple[int, ...]] = []
     pairs: list = []  # (sugar, lcm_key, i, j, lcm)
@@ -466,61 +463,48 @@ def _packed_run(
 
     def add_element(kl: int, entry: tuple, sugar: int):
         """Gebauer-Moller update of the pair set, then append the reducer
-        ``entry`` whose lead has key ``kl``."""
+        ``entry`` whose lead has key ``kl``.
+
+        With t the new index and L_i = lcm(lead_i, lead_t):
+        * an old pair (i, j) goes when lead_t divides its lcm and that lcm
+          is neither L_i nor L_j (chain criterion);
+        * of the candidates (i, t) with one L, only the first index is
+          kept, and none when some candidate with that L has leads coprime
+          to lead_t (product criterion);
+        * an L goes when another L properly divides it (criterion M), also
+          when that other L makes no pair.  A proper divisor has lower
+          degree, so walking the distinct L by degree meets it first, and
+          testing the minimal L kept so far suffices: every L that divides
+          a later one lies over a minimal one.
+
+        The pairs kept are those of the pairwise candidate scan that the
+        tuple oracle ``tests/helpers.py::tuple_buchberger`` keeps.
+        """
         lead_t = unpack(kl)
         t = len(entries)
-        lcms = [mono_lcm(leads[i], lead_t) for i in range(t)]
-        # New pairs: scan candidates in index order, keep survivors (B-W Update).
-        coprime = [mono_coprime(leads[i], lead_t) for i in range(t)]
-        kept: list[int] = []
-        removed = [False] * t
-        for i in range(t):
-            li = lcms[i]
-            if not coprime[i]:
-                # kept candidates are never removed, so this loop covers them
-                dominated = False
-                for j in range(t):
-                    if j != i and not removed[j] and lcms[j] != li and mono_divides(lcms[j], li):
-                        dominated = True
-                        break
-                if dominated:
-                    removed[i] = True
-                    continue
-                duplicate = any(lcms[j] == li for j in kept)
-                if duplicate:
-                    removed[i] = True
-                    continue
-            kept.append(i)
-        # Among kept pairs, drop those with coprime leads (product criterion),
-        # and drop same-lcm partners of a coprime pair.
-        coprime_lcms = {lcms[i] for i in kept if coprime[i]}
-        new_pairs = []
-        for i in kept:
-            if coprime[i]:
+        lcms = [mono_lcm(lead, lead_t) for lead in leads]
+        pairs[:] = [
+            pair
+            for pair in pairs
+            if pair[4] in (lcms[pair[2]], lcms[pair[3]])
+            or not mono_divides(lead_t, pair[4])
+        ]
+        first: dict = {}  # L -> first index with it, None after a coprime one
+        for i, li in enumerate(lcms):
+            if mono_coprime(leads[i], lead_t):
+                first[li] = None
+            else:
+                first.setdefault(li, i)
+        minimal_lcms: list = []
+        for li in sorted(first, key=sum):
+            if any(mono_divides(m, li) for m in minimal_lcms):
                 continue
-            if lcms[i] in coprime_lcms:
-                continue
-            li = lcms[i]
-            s = max(
-                sugars[i] + sum(li) - sum(leads[i]),
-                sugar + sum(li) - sum(lead_t),
-            )
-            new_pairs.append((s, order.key(li), i, t, li))
-        # Prune old pairs killed by the new lead (chain criterion).
-        surviving = []
-        for entry_ in pairs:
-            _, _, i, j, lij = entry_
-            if (
-                mono_divides(lead_t, lij)
-                and mono_lcm(leads[i], lead_t) != lij
-                and mono_lcm(leads[j], lead_t) != lij
-            ):
-                continue
-            surviving.append(entry_)
-        surviving.extend(new_pairs)
-        pairs[:] = surviving
+            minimal_lcms.append(li)
+            i = first[li]
+            if i is not None:
+                s = max(sugars[i] - sum(leads[i]), sugar - sum(lead_t)) + sum(li)
+                pairs.append((s, order.key(li), i, t, li))
         entries.append(entry)
-        lead_keys.append(kl)
         sugars.append(sugar)
         leads.append(lead_t)
 
@@ -564,7 +548,9 @@ def _packed_run(
 
     # Inter-reduce to the unique reduced basis; ascending key is descending
     # in the order, and leads are distinct.
-    by_lead = sorted(range(len(entries)), key=lead_keys.__getitem__, reverse=True)
+    by_lead = sorted(
+        range(len(entries)), key=lambda i: entries[i][0] ^ flip, reverse=True
+    )
     guard = pk.guard
     minimal: list[int] = []
     for i in by_lead:
@@ -574,7 +560,7 @@ def _packed_run(
     elements = []
     for i in minimal:
         others = [entries[j] for j in minimal if j != i]
-        kl = lead_keys[i]
+        kl = entries[i][0] ^ flip
         red, _ = _reduce({kl + td: c for td, c in entries[i][1]}, others, pk, p)
         terms = [(leads[i], 1)]
         terms.extend((unpack(k), c) for k, c in red.items())

@@ -160,10 +160,6 @@ class TermOrder:
         k = self._keep_rev(exps)
         return (sum(d), tuple(map(neg, d)), sum(k), tuple(map(neg, k)))
 
-    def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def signature(self):
         return (self.kind, self.nvars, self.drop)
 
@@ -199,14 +195,6 @@ def elimination_order(ring: RingSpec, drop_names: Iterable[str]) -> TermOrder:
 
 # ---------------------------------------------------------------------------
 # Monomial helpers (monomials are plain exponent tuples)
-
-
-def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = tuple(map(add, a, b))
-    if max(out, default=0) > MAX_EXPONENT:
-        e = next(e for e in out if e > MAX_EXPONENT)
-        raise ExponentOverflow(f"exponent {e} exceeds cap {MAX_EXPONENT}")
-    return out
 
 
 def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -453,11 +441,6 @@ class Polynomial:
 def _grevlex_neg_key(exps: tuple[int, ...]):
     """Degrevlex key negated: ascending order on it is descending degrevlex."""
     return (-sum(exps), exps[::-1])
-
-
-def is_multihomogeneous(p: Polynomial) -> Union[tuple[int, ...], str, None]:
-    """Common multidegree, DEGREE_ANY for the zero polynomial, None otherwise."""
-    return p.multidegree()
 
 
 # ---------------------------------------------------------------------------

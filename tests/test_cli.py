@@ -305,6 +305,33 @@ def test_nonpositive_pair_budget_is_a_usage_error(capsys, budget):
     assert err == "mm: --pair-budget must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--input", f"{INPUTS}/diag.json"],
+        ["formula", "--ht2", "--d", "2", "--mu", "1,1,1"],
+    ],
+    ids=["hilbert", "formula"],
+)
+@pytest.mark.parametrize(
+    "env, message",
+    [
+        ("0", "MM_PAIR_BUDGET must be positive"),
+        ("-1", "MM_PAIR_BUDGET must be positive"),
+        ("abc", "MM_PAIR_BUDGET must be an integer, got 'abc'"),
+    ],
+)
+def test_bad_pair_budget_env_is_a_usage_error(capsys, monkeypatch, argv, env, message):
+    """Every command rejects a bad MM_PAIR_BUDGET before it runs, including
+    one that computes no Groebner basis."""
+    monkeypatch.chdir(TESTS_DIR)
+    monkeypatch.setenv("MM_PAIR_BUDGET", env)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"mm: {message}\n"
+
+
 def test_malformed_json_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -464,8 +464,12 @@ def _budget_victim() -> Ideal:
 
 
 def test_pair_budget_exceeded_carries_stats():
-    with pytest.raises(PairBudgetExceeded) as err:
-        groebner_basis(_budget_victim(), budget=1)
+    set_pair_budget(1)
+    try:
+        with pytest.raises(PairBudgetExceeded) as err:
+            groebner_basis(_budget_victim())
+    finally:
+        set_pair_budget(None)
     stats = err.value.stats
     assert stats["budget"] == 1
     assert stats["pairs_processed"] > stats["budget"]
@@ -477,8 +481,12 @@ def test_memoized_basis_respects_smaller_budget():
     P2 = ring_blocks(("x0", "x1", "x2"))
     J = mk(P2, "x0^2 - x1*x2", "x1^2 - x0*x2", "x2^2 - x0*x1")
     assert len(groebner_basis(J).elements) >= 3
-    with pytest.raises(PairBudgetExceeded) as err:
-        groebner_basis(J, budget=1)
+    set_pair_budget(1)
+    try:
+        with pytest.raises(PairBudgetExceeded) as err:
+            groebner_basis(J)
+    finally:
+        set_pair_budget(None)
     assert err.value.stats["budget"] == 1
     assert err.value.stats["pairs_processed"] == 2
 
@@ -498,12 +506,17 @@ def test_budget_resolution_precedence(monkeypatch):
 
 
 def test_budget_env_validation(monkeypatch):
+    held = saturation(mk(FRESH, "a*b"), mk(FRESH, "a"))
+    assert held._basis is not None
     monkeypatch.setenv("MM_PAIR_BUDGET", "zero")
     with pytest.raises(ValueError):
         resolve_pair_budget()
     monkeypatch.setenv("MM_PAIR_BUDGET", "-4")
     with pytest.raises(ValueError):
         resolve_pair_budget()
+    # a held basis needs no run, but the budget is still validated first
+    with pytest.raises(ValueError, match="MM_PAIR_BUDGET must be positive"):
+        groebner_basis(held)
 
 
 def test_set_pair_budget_validation():
@@ -515,14 +528,6 @@ def test_explicit_pair_budget_validation():
     for bad in (0, -1, -5):
         with pytest.raises(ValueError, match="pair budget must be positive"):
             resolve_pair_budget(explicit=bad)
-    with pytest.raises(ValueError, match="pair budget must be positive"):
-        groebner_basis(mk(FRESH, "a^2 - b*c", "a*b - c^2"), budget=-5)
-    with pytest.raises(ValueError, match="pair budget must be positive"):
-        groebner_basis(mk(FRESH, "a^2 - b*c"), budget=-1)
-    held = saturation(mk(FRESH, "a*b"), mk(FRESH, "a"))
-    assert held._basis is not None
-    with pytest.raises(ValueError, match="pair budget must be positive"):
-        groebner_basis(held, budget=-1)
 
 
 # ---------------------------------------------------------------------------

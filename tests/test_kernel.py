@@ -137,7 +137,7 @@ VARS = ("x0", "x1", "x2", "x3")
 
 @st.composite
 def runs(draw):
-    """(ring, generators, order, budget) for one Buchberger run: sparse
+    """(ring, generators, order) for one Buchberger run: sparse
     non-homogeneous polynomials in 1-4 variables with exponents up to 2 over
     a small prime, sometimes with a
     Rabinowitsch generator 1 - w·k in a trailing helper block, under
@@ -161,9 +161,7 @@ def runs(draw):
         order = TermOrder("elim", nv, (nv - 1,))
     else:
         order = TermOrder("elim", nv, draw(st.sets(st.integers(0, nv - 1), min_size=1)))
-    # a budget of 40 pairs completes most runs and bounds the odd costly one
-    budget = draw(st.sampled_from((40, 2, 5)))
-    return ring, frozenset(gens), order, budget
+    return ring, frozenset(gens), order
 
 
 def outcome(run, *args):
@@ -176,8 +174,16 @@ def outcome(run, *args):
 
 @given(case=runs())
 def test_packed_buchberger_matches_tuple_oracle(case):
-    got = outcome(gb._buchberger.__wrapped__, *case)
-    assert got == outcome(tuple_buchberger, *case)
+    """Same basis, or the same ``PairBudgetExceeded`` stats (pairs
+    processed, basis size, pairs remaining), at every budget from 1 up to
+    the first that completes: the pair update keeps the oracle's pairs
+    after every new element.  40 pairs complete most runs and bound the
+    odd costly one."""
+    for budget in range(1, 41):
+        got = outcome(gb._buchberger.__wrapped__, *case, budget)
+        assert got == outcome(tuple_buchberger, *case, budget)
+        if got[0] != "budget":
+            break
 
 
 def test_budget_failure_matches_tuple_oracle():
@@ -204,7 +210,7 @@ def tuple_normal_form(f, G):
 
 @given(case=runs(), data=st.data())
 def test_packed_normal_form_matches_tuple_oracle(case, data):
-    ring, gens, order, _ = case
+    ring, gens, order = case
     try:
         G = gb._buchberger.__wrapped__(ring, gens, order, 40)
     except PairBudgetExceeded:
