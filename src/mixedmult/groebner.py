@@ -4,13 +4,14 @@ The S-pair queue is pruned with the Gebauer-Moller update (JSC 1988): each
 new element drops old pairs by the chain criterion, then makes one pair per
 minimal distinct lcm with it, in one pass over those lcms sorted by degree,
 and none where the product criterion applies.  Pairs are selected by
-(sugar, leading-term key), so runs are deterministic; the final
-basis is inter-reduced and monic, hence the unique reduced Groebner basis
-of the ideal for the given order.  Elimination is one run in a block
-elimination order.  Intersection, colon and saturation append helper
-variables, eliminate them and drop them before returning: intersection (and
-the colon built on it) uses one helper, saturation one helper per generator
-of the saturating ideal.
+(sugar, packed lcm key), smallest lcm first, so runs are deterministic;
+the final basis is inter-reduced and monic, hence the unique reduced
+Groebner basis of the ideal for the given order.  The packed key below is
+the library's only comparison of monomials under a term order.
+Elimination is one run in a block elimination order.  Intersection, colon
+and saturation append helper variables, eliminate them and drop them
+before returning: intersection (and the colon built on it) uses one
+helper, saturation one helper per generator of the saturating ideal.
 
 Reduction works on monomials packed into one Python int each, as in
 Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
@@ -28,8 +29,8 @@ Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
 * Heap key.  The key k = m ^ FLIP replaces every degree field D by its
   complement 2^b - 1 - D.  Ascending k compares the drop degree descending,
   then the drop exponents from the last variable down, then the same for
-  the kept block: that is the order key negated entry by entry, so a
-  min-heap of plain ints pops the largest monomial first; under degrevlex
+  the kept block: that is the term order reversed, so a min-heap of
+  plain ints pops the largest monomial first; under degrevlex
   it sorts as the tuple (-|e|, e reversed).  k is
   L(e) + const for the linear form L(e) = m(e) - 2·sum(D_block·2^pos), so
   k(q·t) = k(t) + k(q) - k(1): a basis element stores each tail term as
@@ -202,30 +203,17 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "elements", "leading_exps")
 
-    def __init__(self, ring: RingSpec, order: TermOrder, elements: Sequence[Polynomial]):
-        self.ring = ring
-        self.order = order
-        self.elements = tuple(elements)
-        self.leading_exps = tuple(
-            g.lead_exps(order) for g in self.elements
-        )
-
-    @classmethod
-    def _with_leads(
-        cls,
+    def __init__(
+        self,
         ring: RingSpec,
         order: TermOrder,
         elements: Sequence[Polynomial],
         leading_exps: Sequence[tuple[int, ...]],
-    ) -> "GroebnerBasis":
-        """Internal: a basis whose leading exponents under ``order`` the
-        caller (``_buchberger``) already holds, so they are not looked up."""
-        G = cls.__new__(cls)
-        G.ring = ring
-        G.order = order
-        G.elements = tuple(elements)
-        G.leading_exps = tuple(leading_exps)
-        return G
+    ):
+        self.ring = ring
+        self.order = order
+        self.elements = tuple(elements)
+        self.leading_exps = tuple(leading_exps)
 
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero()
@@ -433,32 +421,49 @@ def groebner_basis(J: Ideal, order: Optional[TermOrder] = None) -> GroebnerBasis
 def _buchberger(
     ring: RingSpec, gens: frozenset, order: TermOrder, budget: int
 ) -> GroebnerBasis:
-    work_gens = sorted(
-        (g.monic(order) for g in gens if not g.is_zero()),
-        key=lambda gl: (order.key(gl[1]), gl[0].terms),
-    )
-    if not work_gens:
-        return GroebnerBasis(ring, order, ())
-    if any(g.is_constant() for g, _ in work_gens):
-        return GroebnerBasis(ring, order, (Polynomial.one(ring),))
-    width = _width_for(max(g.total_degree() for g, _ in work_gens))
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return GroebnerBasis(ring, order, (), ())
+    if any(g.is_constant() for g in gens):
+        return _unit_basis(ring, order)
+    width = _width_for(max(g.total_degree() for g in gens))
     while True:
         try:
-            return _packed_run(ring, order, budget, work_gens, _Packing(order, width))
+            return _packed_run(ring, order, budget, gens, _Packing(order, width))
         except _FieldOverflow:
             width *= 2
 
 
+def _unit_basis(ring: RingSpec, order: TermOrder) -> GroebnerBasis:
+    return GroebnerBasis(ring, order, (Polynomial.one(ring),), (ring.zero_exps(),))
+
+
 def _packed_run(
-    ring: RingSpec, order: TermOrder, budget: int, work_gens: list, pk: _Packing
+    ring: RingSpec, order: TermOrder, budget: int, gens: list, pk: _Packing
 ) -> GroebnerBasis:
-    """One Buchberger run of ``_buchberger`` at the field width of ``pk``."""
+    """One Buchberger run of ``_buchberger`` at the field width of ``pk``.
+
+    The nonzero, nonconstant ``gens`` enter smallest lead first, equal
+    leads by their monic terms in canonical order; the lead of a packed
+    input is its smallest key."""
     p = ring.characteristic
     pack, unpack, flip = pk.pack, pk.unpack, pk.flip
+    inputs = []
+    for g in gens:
+        work = {pack(e): c for e, c in g.terms}
+        kl = min(work)
+        inv = pow(work[kl], p - 2, p)
+        monic = tuple((e, c * inv % p) for e, c in g.terms)
+        inputs.append((-kl, monic, work, g.total_degree()))
+    inputs.sort(key=lambda t: t[:2])
     entries: list = []  # packed (lead, tail) per basis element
     sugars: list[int] = []
     leads: list[tuple[int, ...]] = []
-    pairs: list = []  # (sugar, lcm_key, i, j, lcm)
+    # (sugar, -lcm key, i, j, lcm).  The fields of the lcm of two guard-free
+    # leads are below 2^(b-1) and its degree fields below 2^b, so no
+    # complemented field borrows and the packed lcm key is exact: smallest
+    # -key first is smallest lcm first.
+    pairs: list = []
     processed = 0
 
     def add_element(kl: int, entry: tuple, sugar: int):
@@ -503,14 +508,15 @@ def _packed_run(
             i = first[li]
             if i is not None:
                 s = max(sugars[i] - sum(leads[i]), sugar - sum(lead_t)) + sum(li)
-                pairs.append((s, order.key(li), i, t, li))
+                pairs.append((s, -pack(li), i, t, li))
         entries.append(entry)
         sugars.append(sugar)
         leads.append(lead_t)
 
-    for g, _ in work_gens:
-        work = {pack(e): c for e, c in g.terms}
-        red, sg = _reduce(work, entries, pk, p, sugar=g.total_degree(), sugars=sugars)
+    # _reduce is linear, so reducing an input unscaled gives the same monic
+    # remainder as reducing it monic
+    for _, _, work, sugar in inputs:
+        red, sg = _reduce(work, entries, pk, p, sugar=sugar, sugars=sugars)
         if red:
             add_element(*pk.monic_entry(red, p), sg)
 
@@ -528,9 +534,9 @@ def _packed_run(
                     "budget": budget,
                 },
             )
-        s_sugar, _, i, j, lij = best
+        s_sugar, neg_klij, i, j, _ = best
         # tails hold key(t) - key(lead), so key(lij / lead · t) = klij + diff
-        klij = pack(lij)
+        klij = -neg_klij
         work: dict = {}
         for td, tc in entries[i][1]:
             k = klij + td
@@ -543,7 +549,7 @@ def _packed_run(
         if red:
             kl, entry = pk.monic_entry(red, p)
             if kl == pk.one:
-                return GroebnerBasis(ring, order, (Polynomial.one(ring),))
+                return _unit_basis(ring, order)
             add_element(kl, entry, sg)
 
     # Inter-reduce to the unique reduced basis; ascending key is descending
@@ -565,7 +571,7 @@ def _packed_run(
         terms = [(leads[i], 1)]
         terms.extend((unpack(k), c) for k, c in red.items())
         elements.append(Polynomial(ring, terms))
-    return GroebnerBasis._with_leads(ring, order, elements, [leads[i] for i in minimal])
+    return GroebnerBasis(ring, order, elements, [leads[i] for i in minimal])
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -607,9 +613,7 @@ def _holding(
     ``groebner_basis`` then returns them without a Buchberger run.
     """
     J = Ideal(ring, elements)
-    J._basis = GroebnerBasis._with_leads(
-        ring, degrevlex_order(ring), J.generators, leads
-    )
+    J._basis = GroebnerBasis(ring, degrevlex_order(ring), J.generators, leads)
     return J
 
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .errors import EnumerationGuardError, InvariantViolation
 from .groebner import Ideal, groebner_basis
-from .rings import LaurentPolyZ, RingSpec, mono_divides
+from .rings import LaurentPolyZ, RingSpec, _grevlex_neg_key, mono_divides
 
 PIECE_GUARD = 10**7
 
@@ -203,21 +203,6 @@ def _lowest_form(
         c += 1
 
 
-def monomial_dimension(I: Ideal) -> int:
-    """Dimension of the quotient by a monomial ideal.
-
-    Works on the ideal's own generators, which must all be monomials; the
-    dimension of a general quotient is this applied to the leading-term
-    ideal of a Groebner basis.
-    """
-    for g in I.generators:
-        if not g.is_monomial():
-            raise ValueError(f"non-monomial generator {g}")
-    return _dimension_and_multiplicity(
-        tuple(g.terms[0][0] for g in I.generators), I.ring
-    )[0]
-
-
 def _lt_exps(J: Ideal) -> tuple[tuple[int, ...], ...]:
     """Minimal monomial generators of the leading-term ideal (degrevlex)."""
     return groebner_basis(J).leading_exps
@@ -232,10 +217,6 @@ def quotient_dimension(J: Ideal) -> int:
 # K-polynomial recursion
 
 PIVOT_RULES = ("default", "antipodal")
-
-
-def _neg_grevlex(e: tuple[int, ...]):
-    return tuple(-x for x in reversed(e))
 
 
 def _shift_add(
@@ -312,7 +293,7 @@ def _knum(
             acc = _shift_add(acc, acc, ring.multidegree_of(g), -1)
         return acc
     if rule == "antipodal":
-        pivot = max(gens, key=lambda g: (sum(g), _neg_grevlex(g)))
+        pivot = min(gens, key=_grevlex_neg_key)
         rest = tuple(g for g in gens if g != pivot)
         colon = _minimalize([tuple(max(x - y, 0) for x, y in zip(g, pivot)) for g in rest])
         return _shift_add(

@@ -28,7 +28,7 @@ from .hilbert import (
     series_coefficient,
 )
 from .prng import Prng
-from .rings import DEGREE_ANY, Polynomial, RingSpec, degrevlex_order
+from .rings import DEGREE_ANY, Polynomial, RingSpec, _grevlex_neg_key
 
 MAX_RESAMPLES = 10
 
@@ -55,7 +55,7 @@ def irrelevant_ideal(ring: RingSpec) -> Ideal:
         tuple(int(i in choice) for i in range(ring.nvars))
         for choice in product(*(range(lo, hi) for lo, hi in ring.block_slices))
     ]
-    monomials.sort(key=degrevlex_order(ring).key)
+    monomials.sort(key=_grevlex_neg_key, reverse=True)
     return Ideal(ring, (Polynomial(ring, ((e, 1),)) for e in monomials))
 
 

@@ -4,16 +4,19 @@ A ring is a tensor product of standard graded polynomial blocks,
 k[x_{1,0..d_1}] (x) ... (x) k[x_{r,0..d_r}] over F_p, graded by N^r with
 every variable of block i sitting in multidegree e_i.  Monomials are bare
 exponent tuples over the flattened variable list; polynomials are sparse
-term tuples with coefficients in [1, p).  This module also carries the
-integer Laurent polynomials used for Hilbert numerators, the two term
-orders (degrevlex and block elimination), and the expression parser.
+term tuples with coefficients in [1, p), kept in descending degrevlex
+order, so a polynomial's leading term is its first.  This module also
+carries the integer Laurent polynomials used for Hilbert numerators, the
+descriptions of the two term orders (degrevlex and block elimination), and
+the expression parser.  It compares no monomials under a term order: the
+packed key of ``groebner._Packing`` makes every such comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter, le, mul, neg, sub
-from typing import Iterable, Iterator, Optional, Union
+from operator import add, le, mul, sub
+from typing import Iterable, Iterator, Union
 
 from .errors import ExponentOverflow, ParseError
 
@@ -23,16 +26,25 @@ MAX_EXPONENT = 2**31 - 1
 DEGREE_ANY = "any"
 
 
+# Miller-Rabin to these bases decides primality for every n < 2^64
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 2^64.  With n - 1 = d·2^s, d odd,
+    n is a strong probable prime to base a when a^d = 1 or
+    a^(d·2^r) = -1 mod n for some r < s."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s is the 2-part of n - 1
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -45,10 +57,10 @@ class RingSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if isinstance(p, int) and p >= 2**63:
+            raise ValueError("characteristic must fit a machine word")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p!r}")
-        if p >= 2**63:
-            raise ValueError("characteristic must fit a machine word")
         blocks = tuple(tuple(b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
@@ -123,7 +135,8 @@ class RingSpec:
 # Term orders
 
 class TermOrder:
-    """Global multiplicative monomial order.
+    """Global multiplicative monomial order, as a description: the packed
+    key of ``groebner._Packing`` compares monomials under it.
 
     kind "degrevlex": graded reverse lexicographic over all variables,
     earlier declared variables largest.  kind "elim": block elimination
@@ -132,7 +145,7 @@ class TermOrder:
     every monomial free of them.
     """
 
-    __slots__ = ("kind", "nvars", "drop", "_drop_rev", "_keep_rev")
+    __slots__ = ("kind", "nvars", "drop")
 
     def __init__(self, kind: str, nvars: int, drop: Iterable[int] = ()):
         if kind not in ("degrevlex", "elim"):
@@ -146,19 +159,6 @@ class TermOrder:
             raise ValueError("elimination order needs a nonempty drop set")
         if any(i < 0 or i >= nvars for i in self.drop):
             raise ValueError("drop index out of range")
-        dropset = set(self.drop)
-        self._drop_rev = _reversed_getter(self.drop)
-        self._keep_rev = _reversed_getter(
-            tuple(i for i in range(nvars) if i not in dropset)
-        )
-
-    def key(self, exps: tuple[int, ...]):
-        """Sort key: larger key = larger monomial, injective on exponents."""
-        if self.kind == "degrevlex":
-            return (sum(exps), tuple(map(neg, exps[::-1])))
-        d = self._drop_rev(exps)
-        k = self._keep_rev(exps)
-        return (sum(d), tuple(map(neg, d)), sum(k), tuple(map(neg, k)))
 
     def signature(self):
         return (self.kind, self.nvars, self.drop)
@@ -173,16 +173,6 @@ class TermOrder:
         if self.kind == "degrevlex":
             return "TermOrder(degrevlex)"
         return f"TermOrder(elim, drop={self.drop})"
-
-
-def _reversed_getter(indices: tuple[int, ...]):
-    """C-level function taking exps to (exps[i] for i in reversed(indices))
-    as a tuple."""
-    if len(indices) > 1:
-        return itemgetter(*indices[::-1])
-    # itemgetter of a single index would return a bare int, not a tuple
-    i = indices[0] if indices else 0
-    return itemgetter(slice(i, i + len(indices)))
 
 
 def degrevlex_order(ring: RingSpec) -> TermOrder:
@@ -287,42 +277,22 @@ class Polynomial:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
 
-    def lead_term(
-        self, order: Optional[TermOrder] = None
-    ) -> tuple[tuple[int, ...], int]:
-        """(exponents, coefficient) of the leading term under ``order``."""
+    def lead_term(self) -> tuple[tuple[int, ...], int]:
+        """(exponents, coefficient) of the leading term under degrevlex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if order is None or order.kind == "degrevlex":
-            return self.terms[0]
-        key = order.key
-        return max(self.terms, key=lambda t: key(t[0]))
+        return self.terms[0]
 
-    def lead_exps(self, order: Optional[TermOrder] = None) -> tuple[int, ...]:
-        return self.lead_term(order)[0]
+    def lead_exps(self) -> tuple[int, ...]:
+        return self.lead_term()[0]
 
-    def lead_coeff(self, order: Optional[TermOrder] = None) -> int:
-        return self.lead_term(order)[1]
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+    def lead_coeff(self) -> int:
+        return self.lead_term()[1]
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
         return max(sum(e) for e, _ in self.terms)
-
-    def monic(
-        self, order: Optional[TermOrder] = None
-    ) -> tuple["Polynomial", tuple[int, ...]]:
-        """(self scaled to leading coefficient 1 under ``order``, its leading
-        exponents), from one look-up of the leading term."""
-        lead, c = self.lead_term(order)
-        if c == 1:
-            return self, lead
-        p = self.ring.characteristic
-        inv = pow(c, p - 2, p)
-        return Polynomial(self.ring, ((e, v * inv) for e, v in self.terms)), lead
 
     # -- arithmetic ----------------------------------------------------------
 

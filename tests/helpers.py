@@ -3,6 +3,7 @@
 import heapq
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, product
 
 from mixedmult import (
@@ -420,9 +421,24 @@ def work_ring_rees_check(F: RationalMapSpec, gens) -> None:
             )
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """Reference primality test: trial division by 2 and the odd numbers."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def tuple_order_key(order: TermOrder, exps) -> tuple:
-    """Reference ``TermOrder.key``: every component built by a generator
-    expression over the drop and kept index lists."""
+    """Reference order key, larger key = larger monomial: every component
+    built by a generator expression over the drop and kept index lists.
+    The library compares monomials only by ``groebner._Packing.pack``."""
     if order.kind == "degrevlex":
         return (sum(exps), tuple(-e for e in reversed(exps)))
     dropset = set(order.drop)
@@ -446,7 +462,7 @@ def neg_key(k: tuple) -> tuple:
 
 def tuple_full_reduce(work, entries, order, p, sugar=None, sugars=None):
     """Reference reduction kernel on exponent tuples: heap keys negated from
-    ``order.key`` tuples, monomial arithmetic by generator expressions.
+    ``tuple_order_key`` tuples, monomial arithmetic by generator expressions.
 
     Same contract as the packed ``groebner._reduce``: tail-complete
     reduction of ``work`` (mutated, dict exps -> coeff) by monic
@@ -454,7 +470,7 @@ def tuple_full_reduce(work, entries, order, p, sugar=None, sugars=None):
     entry whose lead divides it; returns (remainder dict, sugar) with the
     remainder filled largest term first.
     """
-    key = order.key
+    key = partial(tuple_order_key, order)
     heap = [(neg_key(key(e)), e) for e in work]
     heapq.heapify(heap)
     remainder: dict = {}
@@ -502,14 +518,23 @@ def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
     and every new basis element built as a ``Polynomial``.
     """
     p = ring.characteristic
+    key = partial(tuple_order_key, order)
+
+    def monic(g):
+        """(g scaled to leading coefficient 1 under ``order``, its lead)."""
+        lead, c = max(g.terms, key=lambda t: key(t[0]))
+        inv = pow(c, p - 2, p)
+        return Polynomial(ring, ((e, v * inv) for e, v in g.terms)), lead
+
+    unit = GroebnerBasis(ring, order, (Polynomial.one(ring),), (ring.zero_exps(),))
     work_gens = sorted(
-        (g.monic(order) for g in gens if not g.is_zero()),
-        key=lambda gl: (order.key(gl[1]), gl[0].terms),
+        (monic(g) for g in gens if not g.is_zero()),
+        key=lambda gl: (key(gl[1]), gl[0].terms),
     )
     if not work_gens:
-        return GroebnerBasis(ring, order, ())
+        return GroebnerBasis(ring, order, (), ())
     if any(g.is_constant() for g, _ in work_gens):
-        return GroebnerBasis(ring, order, (Polynomial.one(ring),))
+        return unit
 
     def entry(g, lead):
         return (lead, tuple((e, c) for e, c in g.terms if e != lead))
@@ -547,7 +572,7 @@ def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
                 sugars[i] + sum(li) - sum(leads[i]),
                 sugar + sum(li) - sum(lead_t),
             )
-            new_pairs.append((s, order.key(li), i, t, li))
+            new_pairs.append((s, key(li), i, t, li))
         pairs[:] = [
             (s, k, i, j, lij)
             for s, k, i, j, lij in pairs
@@ -566,7 +591,7 @@ def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
             g.as_dict(), entries, order, p, sugar=g.total_degree(), sugars=sugars
         )
         if red:
-            add_element(*Polynomial(ring, red.items()).monic(order), sg)
+            add_element(*monic(Polynomial(ring, red.items())), sg)
 
     while pairs:
         best = min(pairs)
@@ -597,12 +622,12 @@ def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
         work = {e: c % p for e, c in work.items() if c % p}
         red, sg = tuple_full_reduce(work, entries, order, p, sugar=s_sugar, sugars=sugars)
         if red:
-            g, lead = Polynomial(ring, red.items()).monic(order)
+            g, lead = monic(Polynomial(ring, red.items()))
             if g.is_constant():
-                return GroebnerBasis(ring, order, (Polynomial.one(ring),))
+                return unit
             add_element(g, lead, sg)
 
-    idx_by_lead = sorted(range(len(entries)), key=lambda i: order.key(leads[i]))
+    idx_by_lead = sorted(range(len(entries)), key=lambda i: key(leads[i]))
     minimal: list = []
     for i in idx_by_lead:
         if not any(mono_divides(leads[j], leads[i]) for j in minimal):
@@ -614,5 +639,7 @@ def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
         red, _ = tuple_full_reduce(dict(tail_i), others, order, p)
         red[lead_i] = 1
         reduced.append((lead_i, Polynomial(ring, red.items())))
-    reduced.sort(key=lambda lg: order.key(lg[0]))
-    return GroebnerBasis(ring, order, [g for _, g in reduced])
+    reduced.sort(key=lambda lg: key(lg[0]))
+    return GroebnerBasis(
+        ring, order, [g for _, g in reduced], [lead for lead, _ in reduced]
+    )

@@ -372,6 +372,21 @@ def test_block_must_be_object(capsys, tmp_path):
     assert "block must be an object" in err
 
 
+def test_mersenne_characteristic_runs(capsys, tmp_path):
+    doc = {
+        "characteristic": 2**61 - 1,
+        "blocks": [{"vars": ["x0", "x1"]}],
+        "ideal": ["x0^2 - 3*x1^2"],
+    }
+    path = tmp_path / "mersenne.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run_cli(capsys, "hilbert", "--input", path)
+    assert rc == 0
+    result = report_of(out)["result"]
+    assert result["dimension"] == 1
+    assert result["series"]["numerator"] == [["1", [0]], ["-1", [2]]]
+
+
 def test_bad_shift_type(capsys, tmp_path):
     doc = {
         "characteristic": 32003,

@@ -1,7 +1,7 @@
 """Buchberger engine and the ideal-theoretic primitives built on it."""
 
 import operator
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +33,7 @@ from helpers import (
     pp,
     ring_blocks,
     tuple_full_reduce,
+    tuple_order_key,
 )
 
 R = p1xp1()
@@ -85,13 +86,12 @@ def test_gb_deterministic_and_order_invariant():
 
 def test_gb_autoreduced():
     G = groebner_basis(mk(R, "x0*y1 - x1*y0", "x0*y0"))
-    for i, g in enumerate(G.elements):
-        assert g.lead_coeff(G.order) == 1
+    for i, (g, lead) in enumerate(zip(G.elements, G.leading_exps)):
+        assert g.as_dict()[lead] == 1
         # no term of g is divisible by another element's leading term
-        for j, h in enumerate(G.elements):
+        for j, lh in enumerate(G.leading_exps):
             if i == j:
                 continue
-            lh = h.lead_exps(G.order)
             for e, _ in g.terms:
                 assert any(x < y for x, y in zip(e, lh))
 
@@ -169,7 +169,7 @@ def reduction_inputs(draw):
     for terms in draw(
         st.lists(st.dictionaries(monos, coeffs, min_size=1, max_size=4), max_size=4)
     ):
-        lead = max(terms, key=order.key)
+        lead = max(terms, key=partial(tuple_order_key, order))
         inv = pow(terms[lead], p - 2, p)
         tail = tuple((e, c * inv % p) for e, c in terms.items() if e != lead)
         entries.append((lead, tail))

@@ -7,7 +7,7 @@ whole Buchberger runs and normal forms compared with the tuple oracles in
 """
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import mixedmult.groebner as gb
 from mixedmult import ExponentOverflow, PairBudgetExceeded, Polynomial, RingSpec
@@ -15,6 +15,7 @@ from mixedmult.rings import (
     MAX_EXPONENT,
     TermOrder,
     degrevlex_order,
+    elimination_order,
     mono_divides,
 )
 
@@ -79,15 +80,36 @@ def packing_and_monomials(draw):
     return gb._Packing(order, width), order, monos
 
 
+HALF = 2**15 - 1  # the largest value below the guard bit of a 16-bit field
+
+
 @given(case=packing_and_monomials())
+@example(
+    case=(
+        gb._Packing(TermOrder("degrevlex", 3), 16),
+        TermOrder("degrevlex", 3),
+        [(HALF, 0, 0), (0, HALF, 0), (0, 0, 1)],
+    )
+)
+@example(
+    case=(
+        gb._Packing(TermOrder("elim", 4, (2, 3)), 16),
+        TermOrder("elim", 4, (2, 3)),
+        [(HALF, 0, 0, 0), (0, HALF, 0, 0), (0, 0, HALF, 0), (1, 0, 0, HALF)],
+    )
+)
 def test_packed_key_order_is_the_tuple_order(case):
+    """The packed key orders the drawn monomials and their pairwise lcms,
+    which key the pair queue, as the tuple oracle does.  An lcm's degree
+    fields may pass the guard bit (the examples make them), but stay below
+    2^width, so no complemented field borrows."""
     pk, order, monos = case
-    for a in monos:
-        for e in monos:
-            assert (pk.pack(a) < pk.pack(e)) == (
-                neg_key(tuple_order_key(order, a)) < neg_key(tuple_order_key(order, e))
-            )
-            assert (pk.pack(a) == pk.pack(e)) == (a == e)
+    lcms = {tuple(map(max, a, e)) for a in monos for e in monos}
+    keys = [(e, pk.pack(e), neg_key(tuple_order_key(order, e))) for e in lcms]
+    for a, ka, ta in keys:
+        for e, ke, te in keys:
+            assert (ka < ke) == (ta < te)
+            assert (ka == ke) == (a == e)
     assert sorted(monos, key=pk.pack) == sorted(
         monos, key=lambda e: tuple_order_key(order, e), reverse=True
     )
@@ -186,12 +208,24 @@ def test_packed_buchberger_matches_tuple_oracle(case):
             break
 
 
-def test_budget_failure_matches_tuple_oracle():
-    ring = ring_blocks(("x", "y", "z"))
-    gens = frozenset(
-        pp(ring, e) for e in ("x^2*y - z^2 + x", "y^2*z - x + 1", "x*z^2 - y^3")
-    )
-    order = degrevlex_order(ring)
+@pytest.mark.parametrize(
+    "blocks, exprs, drop",
+    [
+        ((("x", "y", "z"),), ("x^2*y - z^2 + x", "y^2*z - x + 1", "x*z^2 - y^3"), ()),
+        # the first two inputs share the lead t*x*y, so their monic terms
+        # decide which enters the run first
+        (
+            (("x", "y", "z"), ("t",)),
+            ("t*x*y - x*z^2 + 1", "t*x*y + x^2*y - z", "y^2*z - x*y*z + z"),
+            ("t",),
+        ),
+    ],
+    ids=("degrevlex", "elimination_shared_lead"),
+)
+def test_budget_failure_matches_tuple_oracle(blocks, exprs, drop):
+    ring = ring_blocks(*blocks)
+    gens = frozenset(pp(ring, e) for e in exprs)
+    order = elimination_order(ring, drop) if drop else degrevlex_order(ring)
     for budget in (1, 5, 10):
         got = outcome(gb._buchberger.__wrapped__, ring, gens, order, budget)
         assert got[0] == "budget"
