@@ -510,12 +510,35 @@ def tuple_full_reduce(work, entries, order, p, sugar=None, sugars=None):
     return remainder, sugar
 
 
-def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
+def pair_budget_exceeded(
+    budget: int, processed: int, basis_size: int, remaining: int
+) -> PairBudgetExceeded:
+    """The error a run with ``budget`` raises on selecting its pair number
+    ``processed`` (> budget), with ``basis_size`` elements and ``remaining``
+    live pairs left."""
+    return PairBudgetExceeded(
+        f"S-pair budget {budget} exceeded",
+        {
+            "pairs_processed": processed,
+            "basis_size": basis_size,
+            "pairs_remaining": remaining,
+            "budget": budget,
+        },
+    )
+
+
+def tuple_buchberger(
+    ring: RingSpec, gens, order: TermOrder, budget: int, trace: list | None = None
+):
     """Reference ``groebner._buchberger`` on exponent tuples, unmemoized.
 
     The same Gebauer-Moller pair update, (sugar, lcm key) selection and
     final inter-reduction, with every reduction by ``tuple_full_reduce``
-    and every new basis element built as a ``Polynomial``.
+    and every new basis element built as a ``Polynomial``.  A ``trace``
+    list gets (pairs processed, basis size, live pairs) on each selected
+    pair, before the budget test: a run under a smaller budget b takes the
+    same steps up to its selection b + 1, where it raises
+    ``pair_budget_exceeded(b, *trace[b])``.
     """
     p = ring.characteristic
     key = partial(tuple_order_key, order)
@@ -597,16 +620,10 @@ def tuple_buchberger(ring: RingSpec, gens, order: TermOrder, budget: int):
         best = min(pairs)
         pairs.remove(best)
         processed += 1
+        if trace is not None:
+            trace.append((processed, len(entries), len(pairs)))
         if processed > budget:
-            raise PairBudgetExceeded(
-                f"S-pair budget {budget} exceeded",
-                {
-                    "pairs_processed": processed,
-                    "basis_size": len(entries),
-                    "pairs_remaining": len(pairs),
-                    "budget": budget,
-                },
-            )
+            raise pair_budget_exceeded(budget, processed, len(entries), len(pairs))
         s_sugar, _, i, j, lij = best
         li, tail_i = entries[i]
         lj, tail_j = entries[j]

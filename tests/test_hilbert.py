@@ -1,8 +1,11 @@
 """Series numerators, multiplicity tables, Hilbert polynomials, coarsening."""
 
 import math
+import operator
+import tracemalloc
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -28,7 +31,7 @@ from mixedmult import (
     series_coefficient,
     series_table,
 )
-from mixedmult.hilbert import _knum, _lowest_form, _minimalize
+from mixedmult.hilbert import PACK_BITS, PIVOT_RULES, _knum, _lowest_form, _minimalize
 
 from helpers import (
     box_series_table,
@@ -265,6 +268,50 @@ def test_pure_power_pivot_matches_generator_pivot_oracle(case):
     assert _knum(gens, ring, "antipodal") == expected
 
 
+@given(case=pivot_cases())
+@example(case=(((2, 0, 0), (1, 1, 0), (1, 0, 1)), ring_blocks(("x0", "x1", "x2"))))
+@example(case=(((0, 2), (1, 1), (2, 0)), ring_blocks(("x0",), ("y0",))))
+def test_dict_route_matches_scaled_generator_pivot_oracle(case):
+    # x_v -> x_v^s maps the numerator's t^a to t^(s*a); at s = 2^16 every
+    # box other than the origin's spans more than PACK_BITS bits, so both
+    # rules take the dict route
+    gens, ring = case
+    scale = 1 << 16
+    assert 3 * (scale + 1) > PACK_BITS
+    scaled = tuple(tuple(scale * e for e in g) for g in gens)
+    expected = {
+        tuple(scale * a for a in e): c
+        for e, c in generator_pivot_knum(gens, ring).items()
+    }
+    assert _knum(scaled, ring, "default") == expected
+    assert _knum(scaled, ring, "antipodal") == expected
+
+
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+def test_high_degree_generators_cost_their_terms(rule):
+    # packed, (x0^N, y0^N) would span about 1.6e9 bits and x0^(2^31 - 1)
+    # about 2^33; the dict route holds a few terms
+    N = 20000
+    top = 2**31 - 1
+    mixed = ((N, 1, 0, 0), (1, N, 0, 0), (1, 0, N, 0), (0, 0, 1, N))
+    expected = generator_pivot_knum(mixed, R)
+    tracemalloc.start()
+    try:
+        assert _knum(((N, 0, 0, 0), (0, 0, N, 0)), R, rule) == {
+            (0, 0): 1, (N, 0): -1, (0, N): -1, (N, N): 1,
+        }
+        assert _knum(((top, 0, 0, 0),), R, rule) == {(0, 0): 1, (top, 0): -1}
+        assert _knum(mixed, R, rule) == expected
+        J = mk(R, f"x0^{N}", f"y0^{N}")
+        table = mixed_mult_series(J, pivot_rule=rule)
+        assert (table.dimension, table.entries) == (2, {(0, 0): N * N})
+        assert hilbert_polynomial(J).coefficients == {(0, 0): Fraction(N * N)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @given(J=shifted_monomial_ideals())
 @example(J=mk(R, "x0*y1 - x1*y0", shift=(2, -1)))
 @example(J=mk(R, "1", shift=(0, 3)))
@@ -276,6 +323,52 @@ def test_k_polynomial_matches_generator_pivot_oracle(J):
         expected = expected.shifted(J.shift)
     assert k_polynomial(J).numerator == expected
     assert k_polynomial(J, pivot_rule="antipodal").numerator == expected
+
+
+def power_of_one_minus_t(ring, block: int, n: int) -> LaurentPolyZ:
+    """(1 - t_block)^n over the series variables of ``ring``."""
+    return LaurentPolyZ(
+        ring.r,
+        [
+            (tuple(k if i == block else 0 for i in range(ring.r)), (-1) ** k * math.comb(n, k))
+            for k in range(n + 1)
+        ],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 19, 20, 21, 24])
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+def test_maximal_ideal_of_one_block_fills_its_slots(n, rule):
+    # n generators give slots of n + 2 bits; C(20, 10) is within a factor
+    # of about sqrt(n) of the 2^n bound, and for odd n the top coefficient
+    # -1 is a negative balanced digit
+    ring = ring_blocks(tuple(f"v{i}" for i in range(n)))
+    gens = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    assert _knum(gens, ring, rule) == power_of_one_minus_t(ring, 0, n).as_dict()
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (1, 4), (2, 2, 2), (4, 3), (3, 2, 2), (5, 4)])
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+def test_block_maximal_ideals_match_closed_forms(sizes, rule):
+    # the sum of the block maximal ideals m_i gives prod_i (1 - t_i)^(D_i);
+    # their product is their intersection, so inclusion-exclusion over the
+    # sums gives 1 - prod_i (1 - (1 - t_i)^(D_i)), and with prod_i D_i
+    # generators that share variables the pivot rules do the work
+    ring = ring_blocks(
+        *(tuple(f"{b}{i}" for i in range(n)) for b, n in zip("xyzw", sizes))
+    )
+    nvars = ring.nvars
+    variables = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    products = [
+        tuple(map(sum, zip(*(variables[s + j] for s, j in zip(starts, pick)))))
+        for pick in product(*map(range, sizes))
+    ]
+    one = LaurentPolyZ(ring.r, [((0,) * ring.r, 1)])
+    powers = [power_of_one_minus_t(ring, i, n) for i, n in enumerate(sizes)]
+    assert _knum(tuple(variables), ring, rule) == reduce(operator.mul, powers).as_dict()
+    expected = one - reduce(operator.mul, (one - p for p in powers))
+    assert _knum(_minimalize(products), ring, rule) == expected.as_dict()
 
 
 def test_series_coefficients_match_piece_dimensions():
@@ -342,6 +435,21 @@ def test_series_table_rejects_numerator_with_vanishing_coarsening():
     assert _lowest_form(rep.numerator, 4) == (3, {(1, 0): -1, (0, 1): 1})
     with pytest.raises(InvariantViolation):
         series_table(rep)
+
+
+@pytest.mark.parametrize("power", [5, 7])
+def test_lowest_form_rejects_numerator_without_part_up_to_nvars(power):
+    # (1 - t)^power over (1 - t)^4 would read as dimension 4 - power; no
+    # module has that numerator, and the reading must refuse it
+    numerator = LaurentPolyZ(
+        1, [((k,), (-1) ** k * math.comb(power, k)) for k in range(power + 1)]
+    )
+    assert _lowest_form(numerator, power) == (0, {(power,): 1})
+    with pytest.raises(InvariantViolation):
+        _lowest_form(numerator, 4)
+    wide = LaurentPolyZ(2, [((0, k), c) for (k,), c in numerator.terms])
+    with pytest.raises(InvariantViolation):
+        _lowest_form(wide, 4)
 
 
 def test_series_table_rejects_negative_multiplicity():

@@ -22,6 +22,7 @@ from mixedmult.rings import (
 from helpers import (
     DEFAULT_PAIR_BUDGET,
     neg_key,
+    pair_budget_exceeded,
     pp,
     ring_blocks,
     tuple_buchberger,
@@ -200,10 +201,17 @@ def test_packed_buchberger_matches_tuple_oracle(case):
     processed, basis size, pairs remaining), at every budget from 1 up to
     the first that completes: the pair update keeps the oracle's pairs
     after every new element.  40 pairs complete most runs and bound the
-    odd costly one."""
+    odd costly one.  The oracle runs once, at budget 40: the record it
+    keeps at each selected pair is what it raises at every smaller budget."""
+    trace: list = []
+    final = outcome(tuple_buchberger, *case, 40, trace)
     for budget in range(1, 41):
         got = outcome(gb._buchberger.__wrapped__, *case, budget)
-        assert got == outcome(tuple_buchberger, *case, budget)
+        if budget < len(trace):
+            exc = pair_budget_exceeded(budget, *trace[budget])
+            assert got == ("budget", exc.args, exc.stats)
+        else:
+            assert got == final
         if got[0] != "budget":
             break
 
