@@ -215,9 +215,6 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.leading_exps = tuple(leading_exps)
 
-    def contains(self, p: Polynomial) -> bool:
-        return normal_form(p, self).is_zero()
-
     def __repr__(self):
         return f"GroebnerBasis({list(self.elements)!r})"
 

@@ -10,8 +10,12 @@ matrix there are closed formulas for the whole degree vector, implemented
 here next to the elimination route so the two can be played against each
 other; their hypothesis G_{d+1} is a bound on Fitting heights, which for
 an alternating matrix are read from pfaffian ideals with the same zero
-sets as the ideals of minors.  The saturated-fiber probe estimates d_0
-from the growth of saturated power pieces.
+sets as the ideals of minors (a unit Fitting ideal, with empty zero set,
+has infinite height and passes).  Every minor and pfaffian of a matrix
+comes from one memoized Laplace expansion (``_Expansion``), keyed by
+index tuples, so the generators and all Fitting ideals of one G check
+share their sub-minors.  The saturated-fiber probe estimates d_0 from the
+growth of saturated power pieces.
 """
 
 from __future__ import annotations
@@ -338,31 +342,71 @@ class PresentationMatrix:
         return self._entry_degree
 
 
-def _det(rows: tuple[tuple[Polynomial, ...], ...], ring: RingSpec) -> Polynomial:
-    k = len(rows)
-    if k == 0:
-        return Polynomial.one(ring)
-    if k == 1:
-        return rows[0][0]
-    acc = Polynomial.zero(ring)
-    rest = rows[1:]
-    for j in range(k):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        sub = tuple(tuple(r[c] for c in range(k) if c != j) for r in rest)
-        term = a * _det(sub, ring)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+class _Expansion:
+    """Every minor and principal pfaffian of one matrix, each expanded once.
+
+    A minor is stored under its (row tuple, column tuple) and a pfaffian
+    under its index tuple, all increasing.  The minor on rows r_1 < ... < r_k
+    and columns c_1 < ... < c_k expands along its last row,
+    sum_j (-1)^(k+j) a[r_k][c_j] * minor(r_1..r_{k-1}; columns without c_j),
+    and the pfaffian on s_1 < ... < s_k along its first index,
+    sum_{j>1} (-1)^j a[s_1][s_j] * Pf(indices without s_1, s_j), which is 0
+    for odd k.  Each smaller minor or pfaffian is read from the table, so a
+    family of them shares its sub-expansions.  Only ring operations occur:
+    no division, hence no Bareiss step, is needed.
+    """
+
+    __slots__ = ("rows", "ring", "_zero", "_minors", "_pfaffians")
+
+    def __init__(self, rows: tuple[tuple[Polynomial, ...], ...]):
+        self.rows = rows
+        self.ring = rows[0][0].ring
+        self._zero = Polynomial.zero(self.ring)
+        one = Polynomial.one(self.ring)
+        self._minors = {((), ()): one}
+        self._pfaffians = {(): one}
+
+    def minor(self, rsel: tuple[int, ...], csel: tuple[int, ...]) -> Polynomial:
+        det = self._minors.get((rsel, csel))
+        if det is None:
+            row, rest, k = self.rows[rsel[-1]], rsel[:-1], len(csel)
+            det = self._zero
+            for j, c in enumerate(csel):
+                a = row[c]
+                if a.is_zero():
+                    continue
+                term = a * self.minor(rest, csel[:j] + csel[j + 1:])
+                det = det + term if (k - 1 + j) % 2 == 0 else det - term
+            self._minors[rsel, csel] = det
+        return det
+
+    def pfaffian(self, keep: tuple[int, ...]) -> Polynomial:
+        pf = self._pfaffians.get(keep)
+        if pf is None:
+            row = self.rows[keep[0]]
+            pf = self._zero
+            for j in range(1, len(keep)):
+                a = row[keep[j]]
+                if a.is_zero():
+                    continue
+                term = a * self.pfaffian(keep[1:j] + keep[j + 1:])
+                pf = pf + term if j % 2 == 1 else pf - term
+            self._pfaffians[keep] = pf
+        return pf
 
 
-def determinant(rows, ring: RingSpec | None = None) -> Polynomial:
-    rows = tuple(tuple(r) for r in rows)
-    if ring is None:
-        ring = rows[0][0].ring
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    return _det(rows, ring)
+def _regenerated(M: PresentationMatrix, E: _Expansion) -> list[Polynomial]:
+    """(-1)^i times the minor (Hilbert-Burch) or the principal pfaffian
+    (alternating) of M omitting row i, for each i: the convention under
+    which they are the map's generators in order."""
+    m = len(M.entries)
+    cols = tuple(range(m - 1))
+    out: list[Polynomial] = []
+    for i in range(m):
+        keep = cols[:i] + tuple(range(i + 1, m))
+        g = E.minor(keep, cols) if M.kind == "hilbert-burch" else E.pfaffian(keep)
+        out.append(g if i % 2 == 0 else -g)
+    return out
 
 
 def maximal_minors(M: PresentationMatrix) -> list[Polynomial]:
@@ -373,65 +417,14 @@ def maximal_minors(M: PresentationMatrix) -> list[Polynomial]:
     """
     if M.kind != "hilbert-burch":
         raise ValueError("maximal minors expect a hilbert-burch matrix")
-    rows, ring = M.entries, M.ring
-    out: list[Polynomial] = []
-    for i in range(len(rows)):
-        sub = tuple(rows[k] for k in range(len(rows)) if k != i)
-        minor = _det(sub, ring)
-        out.append(minor if i % 2 == 0 else -minor)
-    return out
-
-
-def _pf(rows: tuple[tuple[Polynomial, ...], ...], ring: RingSpec) -> Polynomial:
-    k = len(rows)
-    if k == 0:
-        return Polynomial.one(ring)
-    if k % 2 == 1:
-        return Polynomial.zero(ring)
-    acc = Polynomial.zero(ring)
-    for j in range(1, k):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        keep = tuple(i for i in range(1, k) if i != j)
-        sub = tuple(tuple(rows[r][c] for c in keep) for r in keep)
-        term = a * _pf(sub, ring)
-        acc = acc + term if j % 2 == 1 else acc - term
-    return acc
-
-
-def pfaffian(rows, ring: RingSpec | None = None) -> Polynomial:
-    """Pfaffian of an even alternating matrix, by first-row expansion."""
-    rows = tuple(tuple(r) for r in rows)
-    if ring is None:
-        ring = rows[0][0].ring
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ValueError("pfaffian needs a square matrix")
-    if k % 2 == 1:
-        raise ValueError("pfaffian of an odd matrix is zero; expected even size")
-    for i in range(k):
-        if not rows[i][i].is_zero():
-            raise ValueError("pfaffian needs a zero diagonal")
-        for j in range(i + 1, k):
-            if rows[i][j] + rows[j][i] != Polynomial.zero(ring):
-                raise ValueError("pfaffian needs an alternating matrix")
-    return _pf(rows, ring)
+    return _regenerated(M, _Expansion(M.entries))
 
 
 def submaximal_pfaffians(M: PresentationMatrix) -> list[Polynomial]:
     """Signed pfaffians of the principal submatrices omitting one index."""
     if M.kind != "alternating":
         raise ValueError("submaximal pfaffians expect an alternating matrix")
-    rows, ring = M.entries, M.ring
-    k = len(rows)
-    out: list[Polynomial] = []
-    for i in range(k):
-        keep = tuple(r for r in range(k) if r != i)
-        sub = tuple(tuple(rows[r][c] for c in keep) for r in keep)
-        pf = _pf(sub, ring)
-        out.append(pf if i % 2 == 0 else -pf)
-    return out
+    return _regenerated(M, _Expansion(M.entries))
 
 
 def random_alternating_matrix(
@@ -465,23 +458,28 @@ def _scalar_multiple(f: Polynomial, g: Polynomial) -> bool:
     return f == Polynomial.constant(f.ring, c) * g
 
 
+def _minors_ideal(E: _Expansion, k: int) -> Ideal:
+    """I_k, the ideal of the k-minors: row subsets times column subsets in
+    ``combinations`` order (zero minors dropped by ``Ideal``); the unit
+    ideal for k <= 0 and the zero ideal above the matrix size."""
+    m, w = len(E.rows), len(E.rows[0])
+    if k <= 0:
+        return Ideal(E.ring, (Polynomial.one(E.ring),))
+    if k > m or k > w:
+        return Ideal(E.ring, ())
+    return Ideal(
+        E.ring,
+        tuple(
+            E.minor(rsel, csel)
+            for rsel in combinations(range(m), k)
+            for csel in combinations(range(w), k)
+        ),
+    )
+
+
 def fitting_ideal(M: PresentationMatrix, i: int) -> Ideal:
     """Fitt_i of the presented ideal: minors of size (rows - i)."""
-    rows, ring = M.entries, M.ring
-    m, w = len(rows), len(rows[0])
-    k = m - i
-    if k <= 0:
-        return Ideal(ring, (Polynomial.one(ring),))
-    if k > m or k > w:
-        return Ideal(ring, ())
-    minors: list[Polynomial] = []
-    for rsel in combinations(range(m), k):
-        for csel in combinations(range(w), k):
-            sub = tuple(tuple(rows[r][c] for c in csel) for r in rsel)
-            det = _det(sub, ring)
-            if not det.is_zero():
-                minors.append(det)
-    return Ideal(ring, tuple(minors))
+    return _minors_ideal(_Expansion(M.entries), len(M.entries) - i)
 
 
 def ideal_height(J: Ideal) -> int:
@@ -489,27 +487,20 @@ def ideal_height(J: Ideal) -> int:
     return J.ring.nvars - quotient_dimension(J)
 
 
-def _fitting_zero_set(M: PresentationMatrix, i: int, submaximal) -> Ideal:
-    """An ideal with the zero set, hence the height, of Fitt_i(M).
+def _fitting_zero_set(M: PresentationMatrix, E: _Expansion, i: int) -> Ideal:
+    """An ideal with the zero set, hence the height, of Fitt_i(M), read
+    from E, the expansion of M.
 
     For an alternating m x m matrix and 1 <= i < m it is Pf_2k, the ideal
     of principal 2k-pfaffians with 2k = j + (j mod 2), j = m - i (see
-    ``check_G_condition``); ``submaximal`` is Pf_{m-1}, the regenerated
-    pfaffians.  Otherwise it is Fitt_i itself."""
-    rows, ring = M.entries, M.ring
-    m = len(rows)
+    ``check_G_condition``).  Otherwise it is Fitt_i itself."""
+    m = len(M.entries)
     j = m - i
     if M.kind != "alternating" or j <= 0:
-        return fitting_ideal(M, i)
-    size = j + j % 2
-    if size == m - 1:
-        return Ideal(ring, tuple(submaximal))
+        return _minors_ideal(E, j)
     return Ideal(
-        ring,
-        tuple(
-            _pf(tuple(tuple(rows[r][c] for c in keep) for r in keep), ring)
-            for keep in combinations(range(m), size)
-        ),
+        E.ring,
+        tuple(E.pfaffian(keep) for keep in combinations(range(m), j + j % 2)),
     )
 
 
@@ -522,12 +513,19 @@ def check_G_condition(F, M: PresentationMatrix, s: int) -> bool:
     from M (signed minors or pfaffians) must match F's in order up to
     nonzero scalars.
 
-    For a Hilbert-Burch matrix each Fitt_i is the ideal of its minors.  For
-    an odd alternating m x m matrix no minor is expanded: with j = m - i,
-    Fitt_i = I_j (the j-minors), and for 1 <= i < m its height is read from
-    Pf_2k, the ideal of principal 2k-pfaffians, 2k = j + (j mod 2).  Pf_{m-1}
-    is the regenerated list itself; for i >= m, Fitt_i is the unit ideal.
-    Equal ideals (i = 2l - 1 and 2l share Pf_{m+1-2l}) are measured once.
+    One ``_Expansion`` of M serves the whole call: the regenerated
+    generators and every Fitting zero set read their minors or pfaffians
+    from it, so each is expanded once.  For a Hilbert-Burch matrix each
+    Fitt_i is the ideal of its minors.  For an odd alternating m x m matrix
+    no minor is expanded: with j = m - i, Fitt_i = I_j (the j-minors), and
+    for 1 <= i < m its height is read from Pf_2k, the ideal of principal
+    2k-pfaffians, 2k = j + (j mod 2); Pf_{m-1} holds the regenerated
+    pfaffians up to sign and order.  Equal ideals (i = 2l - 1 and 2l share
+    Pf_{m+1-2l}) are measured once.  A unit Fitting ideal (Fitt_i for
+    i >= m, or a nonzero constant minor) has an empty zero set, so its
+    height is infinite by convention and it passes for every i;
+    ``ideal_height`` reports it as nvars + 1, above the height nvars of
+    every proper ideal.
     Why ht I_j = ht Pf_2k: at every point of the algebraic closure the
     matrix is alternating, so its rank is even, and that rank is the size
     of its largest nonvanishing principal pfaffian.  Hence rank < j iff
@@ -545,11 +543,8 @@ def check_G_condition(F, M: PresentationMatrix, s: int) -> bool:
         if not declared:
             raise ValueError("no generators")
         source = declared[0].ring
-    regen = (
-        maximal_minors(M)
-        if M.kind == "hilbert-burch"
-        else submaximal_pfaffians(M)
-    )
+    E = _Expansion(M.entries)
+    regen = _regenerated(M, E)
     if len(regen) != len(declared):
         raise PresentationMismatch(
             f"matrix presents {len(regen)} forms, map has {len(declared)}"
@@ -564,10 +559,11 @@ def check_G_condition(F, M: PresentationMatrix, s: int) -> bool:
             )
     heights: dict[Ideal, int] = {}
     for i in range(1, s):
-        J = _fitting_zero_set(M, i, regen)
+        J = _fitting_zero_set(M, E, i)
         if J not in heights:
             heights[J] = ideal_height(J)
-        if heights[J] <= i:
+        # a height above nvars is the unit ideal's, which passes every i
+        if heights[J] <= min(i, M.ring.nvars):
             return False
     return True
 

@@ -20,8 +20,6 @@ from .errors import InvariantViolation, SamplingExhausted
 from .groebner import Ideal, saturation
 from .hilbert import (
     MixedMultTable,
-    _dimension_and_multiplicity,
-    _lt_exps,
     hilbert_polynomial,
     k_polynomial,
     mixed_mult_series,
@@ -221,23 +219,6 @@ def _sliced_by_verified_forms(
                 resamples += 1
             current = Ideal(J.ring, current.generators + (h,))
     return current, resamples
-
-
-def mixed_mult_via_slicing(J: Ideal, n: tuple[int, ...], seed: Prng | int) -> int:
-    """Multiplicity of type n through a verified filter-regular slice.
-
-    Cuts by n_i random verified forms in block i, saturates by the
-    irrelevant ideal, and coarsens; a slice of dimension other than r
-    witnesses e_n = 0.
-    """
-    rng = seed if isinstance(seed, Prng) else Prng(seed)
-    if len(n) != J.ring.r or any(k < 0 for k in n):
-        raise ValueError("type vector must be componentwise nonnegative")
-    J.require_multihomogeneous()
-    sliced, _ = _sliced_by_verified_forms(J, tuple(n), rng)
-    sat = irrelevant_saturation(sliced)
-    d, e = _dimension_and_multiplicity(_lt_exps(sat), sat.ring)
-    return e if d == J.ring.r else 0
 
 
 @dataclass(frozen=True)

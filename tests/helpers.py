@@ -4,7 +4,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
 from mixedmult import (
     GroebnerBasis,
@@ -32,7 +32,6 @@ from mixedmult.hilbert import _minimalize
 from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
-    fitting_ideal,
     ideal_height,
 )
 from mixedmult.multigraded import block_ideal
@@ -396,10 +395,74 @@ def box_series_table(rep: HilbertSeriesRep, dimension: int) -> MixedMultTable:
     return MixedMultTable(dimension=d, route="series", entries=entries)
 
 
+def _det(rows: tuple[tuple[Polynomial, ...], ...], ring: RingSpec) -> Polynomial:
+    k = len(rows)
+    if k == 0:
+        return Polynomial.one(ring)
+    if k == 1:
+        return rows[0][0]
+    acc = Polynomial.zero(ring)
+    rest = rows[1:]
+    for j in range(k):
+        a = rows[0][j]
+        if a.is_zero():
+            continue
+        sub = tuple(tuple(r[c] for c in range(k) if c != j) for r in rest)
+        term = a * _det(sub, ring)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _pf(rows: tuple[tuple[Polynomial, ...], ...], ring: RingSpec) -> Polynomial:
+    k = len(rows)
+    if k == 0:
+        return Polynomial.one(ring)
+    if k % 2 == 1:
+        return Polynomial.zero(ring)
+    acc = Polynomial.zero(ring)
+    for j in range(1, k):
+        a = rows[0][j]
+        if a.is_zero():
+            continue
+        keep = tuple(i for i in range(1, k) if i != j)
+        sub = tuple(tuple(rows[r][c] for c in keep) for r in keep)
+        term = a * _pf(sub, ring)
+        acc = acc + term if j % 2 == 1 else acc - term
+    return acc
+
+
+def submatrix(rows, rsel, csel) -> tuple[tuple[Polynomial, ...], ...]:
+    return tuple(tuple(rows[r][c] for c in csel) for r in rsel)
+
+
+def laplace_fitting_ideal(M: PresentationMatrix, i: int) -> Ideal:
+    """Reference Fitt_i: every minor of size (rows - i) expanded from
+    scratch by first-row Laplace (``_det``)."""
+    rows, ring = M.entries, M.ring
+    m, w = len(rows), len(rows[0])
+    k = m - i
+    if k <= 0:
+        return Ideal(ring, (Polynomial.one(ring),))
+    return Ideal(
+        ring,
+        tuple(
+            _det(submatrix(rows, rsel, csel), ring)
+            for rsel in combinations(range(m), k)
+            for csel in combinations(range(w), k)
+        ),
+    )
+
+
 def minors_G_condition(M: PresentationMatrix, s: int) -> bool:
     """Reference G_s test: ht Fitt_i > i for 1 <= i < s, every Fitting ideal
-    taken as the ideal of minors of M."""
-    return all(ideal_height(fitting_ideal(M, i)) > i for i in range(1, s))
+    taken as the ideal of minors of M (``laplace_fitting_ideal``).  A unit
+    Fitting ideal has an empty zero set, so its height is infinite and it
+    passes."""
+    for i in range(1, s):
+        J = laplace_fitting_ideal(M, i)
+        if not J.is_unit_ideal() and ideal_height(J) <= i:
+            return False
+    return True
 
 
 def work_ring_rees_check(F: RationalMapSpec, gens) -> None:

@@ -537,6 +537,18 @@ def test_check_g_default_s(capsys, monkeypatch):
     assert report_of(out)["result"]["s"] == 3
 
 
+@pytest.mark.parametrize("s", [5, 10])
+def test_check_g_passes_unit_fitting_ideals(capsys, monkeypatch, s):
+    """Fitt_i of the Cremona presentation is the unit ideal for i >= 3; its
+    zero set is empty, so G_s holds however large s is."""
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, _ = run_cli(
+        capsys, "check-g", "--input", f"{INPUTS}/cremona.json", "--s", s
+    )
+    assert rc == 0
+    assert report_of(out)["result"] == {"s": s, "g_condition": True}
+
+
 def test_projdeg_slicing_method(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     rc, out, _ = run_cli(

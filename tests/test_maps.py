@@ -1,6 +1,7 @@
 """Tests for rational maps: graphs, degree vectors, presentations, formulas."""
 
 from functools import cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,10 +9,13 @@ from hypothesis import example, given, strategies as st
 import mixedmult.groebner as gb
 from helpers import (
     CHAR,
+    _det,
+    _pf,
     assert_holds_its_basis,
     minors_G_condition,
     pp,
     ring_blocks,
+    submatrix,
     work_ring_rees_check,
 )
 from mixedmult.errors import InvariantViolation, PresentationMismatch
@@ -20,16 +24,15 @@ from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
     _check_on_graph,
+    _Expansion,
     _fitting_zero_set,
     check_G_condition,
-    determinant,
     elementary_symmetric,
     fitting_ideal,
     formula_gorenstein_ht3,
     formula_perfect_ht2,
     ideal_height,
     maximal_minors,
-    pfaffian,
     projective_degrees,
     random_alternating_matrix,
     rees_ideal,
@@ -300,20 +303,13 @@ def test_degree_vector_tail_is_powers_of_delta(factory):
 
 
 # ---------------------------------------------------------------------------
-# Determinants and signed maximal minors
+# Minors from the shared expansion and signed maximal minors
 
 
 def test_determinant_generic_two_by_two():
     ring = ring_blocks(("a", "b", "c", "d"))
     a, b, c, d = (Polynomial.variable(ring, n) for n in "abcd")
-    assert determinant(((a, b), (c, d))) == a * d - b * c
-
-
-def test_determinant_rejects_nonsquare():
-    ring = ring_blocks(("a", "b"))
-    a, b = pp(ring, "a"), pp(ring, "b")
-    with pytest.raises(ValueError, match="square"):
-        determinant(((a, b),), ring)
+    assert _Expansion(((a, b), (c, d))).minor((0, 1), (0, 1)) == a * d - b * c
 
 
 def test_maximal_minors_signs_reproduce_cremona_forms():
@@ -352,7 +348,7 @@ def test_pfaffian_two_by_two():
     ring = ring_blocks(("a",))
     a = pp(ring, "a")
     zero = Polynomial.zero(ring)
-    assert pfaffian(((zero, a), (-a, zero))) == a
+    assert _Expansion(((zero, a), (-a, zero))).pfaffian((0, 1)) == a
 
 
 def _generic_alternating_four():
@@ -373,43 +369,65 @@ def _generic_alternating_four():
 
 def test_pfaffian_generic_four_by_four():
     rows, (a12, a13, a14, a23, a24, a34) = _generic_alternating_four()
-    assert pfaffian(rows) == a12 * a34 - a13 * a24 + a14 * a23
+    assert _Expansion(rows).pfaffian((0, 1, 2, 3)) == (
+        a12 * a34 - a13 * a24 + a14 * a23
+    )
 
 
 def test_pfaffian_squares_to_determinant():
+    """Pf(S)^2 is the principal minor on S, for every even index set S."""
     rows, _ = _generic_alternating_four()
-    pf = pfaffian(rows)
-    assert pf * pf == determinant(rows)
+    E = _Expansion(rows)
+    for size in (2, 4):
+        for keep in combinations(range(4), size):
+            pf = E.pfaffian(keep)
+            assert pf * pf == E.minor(keep, keep)
 
 
-def test_pfaffian_rejects_odd_size():
-    ring = ring_blocks(("a",))
+@st.composite
+def hilbert_burch_matrices(draw) -> PresentationMatrix:
+    """(w+1) x w Hilbert-Burch matrices, w = 2..4, in 2 or 3 variables,
+    each column of one degree 0-2; about one entry in three is zero, but
+    entry (j, j) never is, so every column has a degree."""
+    w = draw(st.integers(2, 4))
+    nvars = draw(st.integers(2, 3))
+    ring = ring_blocks(tuple(f"x{i}" for i in range(nvars)))
     zero = Polynomial.zero(ring)
-    with pytest.raises(ValueError, match="expected even size"):
-        pfaffian(((zero,),), ring)
+    rows = [[zero] * w for _ in range(w + 1)]
+    for j in range(w):
+        deg = draw(st.integers(0, 2))
+        monos = [e for e in product(range(deg + 1), repeat=nvars) if sum(e) == deg]
+        for i in range(w + 1):
+            if i != j and draw(st.integers(0, 2)) == 0:
+                continue
+            coeffs = draw(
+                st.lists(
+                    st.integers(1, CHAR - 1),
+                    min_size=len(monos),
+                    max_size=len(monos),
+                )
+            )
+            rows[i][j] = Polynomial(ring, zip(monos, coeffs))
+    return PresentationMatrix(
+        entries=tuple(tuple(r) for r in rows), kind="hilbert-burch"
+    )
 
 
-def test_pfaffian_rejects_nonzero_diagonal():
-    ring = ring_blocks(("a",))
-    a = pp(ring, "a")
-    zero = Polynomial.zero(ring)
-    with pytest.raises(ValueError, match="zero diagonal"):
-        pfaffian(((a, a), (-a, zero)))
-
-
-def test_pfaffian_rejects_nonalternating():
-    ring = ring_blocks(("a",))
-    a = pp(ring, "a")
-    zero = Polynomial.zero(ring)
-    with pytest.raises(ValueError, match="alternating"):
-        pfaffian(((zero, a), (a, zero)))
-
-
-def test_pfaffian_rejects_nonsquare():
-    ring = ring_blocks(("a",))
-    a = pp(ring, "a")
-    with pytest.raises(ValueError, match="square"):
-        pfaffian(((a, a),), ring)
+@given(M=hilbert_burch_matrices())
+def test_expansion_minors_match_laplace_oracle(M):
+    """Every minor of every size from the shared expansion equals the
+    from-scratch Laplace expansion, and ``fitting_ideal`` lists the nonzero
+    ones in row-subset x column-subset ``combinations`` order."""
+    rows, ring = M.entries, M.ring
+    m, w = M.shape
+    E = _Expansion(rows)
+    for k in range(1, w + 1):
+        sels = [
+            (r, c) for r in combinations(range(m), k) for c in combinations(range(w), k)
+        ]
+        oracle = [_det(submatrix(rows, r, c), ring) for r, c in sels]
+        assert [E.minor(r, c) for r, c in sels] == oracle
+        assert fitting_ideal(M, m - k) == Ideal(ring, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +641,17 @@ def test_check_g_cremona():
     assert check_G_condition(cremona_map(), M, 1) is True
 
 
+@pytest.mark.parametrize("s", [5, 10])
+def test_check_g_passes_unit_fitting_ideals(s):
+    """Fitt_i of the Cremona presentation is the unit ideal for i >= 3: its
+    zero set is empty, so its height is infinite and G_s holds for every s,
+    in the library and in the minors oracle alike."""
+    M = cremona_matrix()
+    assert fitting_ideal(M, 3).is_unit_ideal()
+    assert check_G_condition(cremona_map(), M, s) is True
+    assert minors_G_condition(M, s) is True
+
+
 def test_check_g_on_plain_generator_sequence():
     """Three quadrics in four variables: the height bound fails at i = 2."""
     ring = ring_blocks(("x0", "x1", "x2", "x3"))
@@ -671,15 +700,16 @@ def test_check_g_rejects_empty_sequence():
 
 
 @st.composite
-def alternating_matrices(draw) -> PresentationMatrix:
-    """Alternating 3x3 or 5x5 matrices of linear forms in 2-5 variables.
+def alternating_matrices(draw, sizes=(5, 3)) -> PresentationMatrix:
+    """Alternating matrices of linear forms in 2-5 variables, of a size
+    drawn from ``sizes`` (3x3 or 5x5 by default).
 
     Many are sparse on purpose: the entries use only the first ``used``
     variables and about one entry in three is zero, so low Fitting heights
     (G failing) are common.  A 5x5 matrix whose entries involve 4-5
     variables makes the minors oracle slow, so those come only from the
     explicit examples."""
-    size = draw(st.sampled_from((5, 3)))
+    size = draw(st.sampled_from(sizes))
     nvars = draw(st.sampled_from((5, 4, 3, 2)))
     most = nvars if size == 3 else min(nvars, 3)
     sparse = most < nvars or draw(st.booleans())
@@ -712,6 +742,19 @@ def generic_alternating(nvars: int, size: int) -> PresentationMatrix:
     return random_alternating_matrix(ring, size, nvars)
 
 
+@given(M=alternating_matrices(sizes=(7, 5, 3)))
+def test_expansion_pfaffians_match_laplace_oracle(M):
+    """Every principal pfaffian of an odd alternating matrix from the
+    shared expansion equals the from-scratch Laplace expansion (zero on
+    index sets of odd size)."""
+    rows, ring = M.entries, M.ring
+    m = len(rows)
+    E = _Expansion(rows)
+    for size in range(1, m + 1):
+        for keep in combinations(range(m), size):
+            assert E.pfaffian(keep) == _pf(submatrix(rows, keep, keep), ring)
+
+
 @given(M=alternating_matrices())
 @example(M=generic_alternating(4, 5))
 @example(M=generic_alternating(5, 5))
@@ -721,8 +764,9 @@ def test_pfaffian_heights_match_minor_oracle(M):
     ideal of minors, and the G_s verdict matches for every s."""
     gens = submaximal_pfaffians(M)
     m = len(M.entries)
+    E = _Expansion(M.entries)
     for i in range(1, m + 1):
-        J = _fitting_zero_set(M, i, gens)
+        J = _fitting_zero_set(M, E, i)
         assert ideal_height(J) == ideal_height(fitting_ideal(M, i))
     for s in range(1, m + 2):
         assert check_G_condition(gens, M, s) == minors_G_condition(M, s)
@@ -737,9 +781,8 @@ def test_check_g_stretch_map():
     F = RationalMapSpec(ring, tuple(gens))
     assert (F.d, F.n) == (4, 6)
     assert check_G_condition(F, M, 5) is True
-    heights = tuple(
-        ideal_height(_fitting_zero_set(M, i, gens)) for i in range(1, 5)
-    )
+    E = _Expansion(M.entries)
+    heights = tuple(ideal_height(_fitting_zero_set(M, E, i)) for i in range(1, 5))
     assert heights == (3, 3, 5, 5)
 
 

@@ -22,7 +22,6 @@ from mixedmult import (
     k_polynomial,
     mixed_mult_polynomial,
     mixed_mult_series,
-    mixed_mult_via_slicing,
     multidegree,
     quotient_dimension,
     random_block_form,
@@ -357,25 +356,30 @@ def test_multidegree_length_mismatch():
 # Slicing routes
 
 
+def slice_count(J: Ideal, n: tuple[int, ...]) -> int:
+    """The point count of one verified slicing trial at seed 0."""
+    return mg._slice_point_count(J, n, Prng(0))[0]
+
+
 def test_slicing_route_diagonal():
-    assert mixed_mult_via_slicing(DIAGONAL, (1, 0), 0) == 1
-    assert mixed_mult_via_slicing(DIAGONAL, (0, 1), 0) == 1
+    assert slice_count(DIAGONAL, (1, 0)) == 1
+    assert slice_count(DIAGONAL, (0, 1)) == 1
 
 
 def test_slicing_route_detects_dimension_drop():
-    assert mixed_mult_via_slicing(nbar(), (1, 0), 0) == 0
-    assert mixed_mult_via_slicing(nbar(), (0, 0), 0) == 0
+    assert slice_count(nbar(), (1, 0)) == 0
+    assert slice_count(nbar(), (0, 0)) == 0
 
 
 def test_slicing_route_full_ring():
-    assert mixed_mult_via_slicing(Ideal(R, ()), (1, 1), 0) == 1
+    assert slice_count(Ideal(R, ()), (1, 1)) == 1
 
 
 def test_slicing_route_rejects_bad_type():
     with pytest.raises(ValueError):
-        mixed_mult_via_slicing(DIAGONAL, (1, -1), 0)
+        slice_degree(DIAGONAL, (1, -1))
     with pytest.raises(ValueError):
-        mixed_mult_via_slicing(DIAGONAL, (1,), 0)
+        slice_degree(DIAGONAL, (1,))
 
 
 def test_slice_report_diagonal():
@@ -408,7 +412,6 @@ def test_route_equivalence_on_small_corpus():
     ):
         for n in types:
             alg = multidegree(J, n)
-            assert mixed_mult_via_slicing(J, n, 0) == alg
             rep = slice_degree(J, n, seed=0, trials=5)
             assert rep.point_count == alg
 
@@ -427,7 +430,7 @@ def test_sampling_exhaustion_raises(monkeypatch):
         mg, "random_block_form", lambda ring, block, rng: Polynomial.zero(ring)
     )
     with pytest.raises(SamplingExhausted) as err:
-        mixed_mult_via_slicing(DIAGONAL, (1, 0), 0)
+        mg._sliced_by_verified_forms(DIAGONAL, (1, 0), Prng(0))
     assert err.value.block == 0
     assert err.value.slot == 0
 
