@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import (
     EnumerationGuardError,
+    ExponentOverflow,
     InvariantViolation,
     NotMultihomogeneousError,
     PairBudgetExceeded,
@@ -63,6 +64,7 @@ MATH_ERRORS = (
     SamplingExhausted,
     PresentationMismatch,
     InvariantViolation,
+    ExponentOverflow,
     ValueError,
 )
 

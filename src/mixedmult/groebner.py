@@ -69,6 +69,7 @@ from .rings import (
     Polynomial,
     RingSpec,
     TermOrder,
+    _grevlex_neg_key,
     degrevlex_order,
     elimination_order,
     mono_coprime,
@@ -554,7 +555,7 @@ def _packed_run(
     by_lead = sorted(
         range(len(entries)), key=lambda i: entries[i][0] ^ flip, reverse=True
     )
-    guard = pk.guard
+    guard, cap = pk.guard, pk.cap
     minimal: list[int] = []
     for i in by_lead:
         lead_i = entries[i][0]
@@ -565,9 +566,15 @@ def _packed_run(
         others = [entries[j] for j in minimal if j != i]
         kl = entries[i][0] ^ flip
         red, _ = _reduce({kl + td: c for td, c in entries[i][1]}, others, pk, p)
+        if cap and any(k & cap for k in red):
+            raise ExponentOverflow("exponent exceeds cap")
+        # the remainder comes largest term first in the run's order, which
+        # is degrevlex only for a degrevlex run
         terms = [(leads[i], 1)]
         terms.extend((unpack(k), c) for k, c in red.items())
-        elements.append(Polynomial(ring, terms))
+        if order.kind != "degrevlex":
+            terms.sort(key=lambda t: _grevlex_neg_key(t[0]))
+        elements.append(Polynomial._canonical(ring, tuple(terms)))
     return GroebnerBasis(ring, order, elements, [leads[i] for i in minimal])
 
 
@@ -643,7 +650,8 @@ def elimination_ideal(J: Ideal, drop_names: Iterable[str]) -> Ideal:
 def _lift(p: Polynomial, ext: RingSpec) -> Polynomial:
     """p in ``ext``, a ring extended by helper variables set to exponent 0."""
     pad = (0,) * (ext.nvars - p.ring.nvars)
-    return Polynomial(ext, ((e + pad, c) for e, c in p.terms))
+    # trailing zero exponents keep degrevlex comparisons, so the sort holds
+    return Polynomial._canonical(ext, tuple((e + pad, c) for e, c in p.terms))
 
 
 def _project(p: Polynomial, ring: RingSpec) -> Polynomial:
@@ -652,7 +660,7 @@ def _project(p: Polynomial, ring: RingSpec) -> Polynomial:
     for e, _ in p.terms:
         if any(e[n:]):
             raise AssertionError("projection of a polynomial involving a helper")
-    return Polynomial(ring, ((e[:n], c) for e, c in p.terms))
+    return Polynomial._canonical(ring, tuple((e[:n], c) for e, c in p.terms))
 
 
 def _drop_helpers(eliminated: Ideal, ring: RingSpec) -> Ideal:
@@ -739,10 +747,16 @@ def saturation(J: Ideal, K: Ideal) -> Ideal:
     if not K.generators:
         raise ValueError("saturation by the zero ideal")
     ring = J.ring
-    ext = ring.extended("_w", len(K.generators))
+    r = len(K.generators)
+    ext = ring.extended("_w", r)
     helpers = ext.variables[ring.nvars:]
-    rabinowitsch = Polynomial.one(ext)
-    for name, k in zip(helpers, K.generators):
-        rabinowitsch = rabinowitsch - Polynomial.variable(ext, name) * _lift(k, ext)
+    p = ring.characteristic
+    # each w_j·k_j term carries its own w_j, so no two terms share a monomial
+    terms = [(ext.zero_exps(), 1)]
+    for j, k in enumerate(K.generators):
+        w = tuple(int(i == j) for i in range(r))
+        terms.extend((e + w, p - c) for e, c in k.terms)
+    terms.sort(key=lambda t: _grevlex_neg_key(t[0]))
+    rabinowitsch = Polynomial._canonical(ext, tuple(terms))
     gens = [_lift(g, ext) for g in J.generators] + [rabinowitsch]
     return _drop_helpers(elimination_ideal(Ideal(ext, gens), helpers), ring)

@@ -24,14 +24,22 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
-from operator import add, mul
+from operator import mul
 
 from .errors import InvariantViolation, NotMultihomogeneousError, PresentationMismatch
-from .groebner import Ideal, _drop_helpers, _lift, elimination_ideal, saturation
+from .groebner import (
+    Ideal,
+    _drop_helpers,
+    _lift,
+    _Packing,
+    _width_for,
+    elimination_ideal,
+    saturation,
+)
 from .hilbert import hilbert_polynomial, k_polynomial, quotient_dimension, series_coefficient
 from .multigraded import block_ideal, random_block_form, slice_degree
 from .prng import Prng
-from .rings import Polynomial, RingSpec, parse_polynomial
+from .rings import Polynomial, RingSpec, degrevlex_order, parse_polynomial
 
 _Y_BASES = ("y", "u", "v", "z", "w")
 
@@ -134,38 +142,53 @@ def _check_on_graph(F: RationalMapSpec, gens) -> None:
     """Raise InvariantViolation unless every g(x, y) in gens vanishes on the
     graph of F, i.e. g(x, t*f) = 0.
 
-    The check runs in the source ring.  It is exact because
-    g(x, t*f) = sum_b t^b * g_b(x, f), where g_b is the part of g of
-    y-degree b: each term c*x^a*y^e goes to c*x^a*f^e, summed per (b,
-    exponent), and every sum must vanish.  The products f^e are memoized
-    across gens in a dict local to the call.
+    The check runs in the source ring and is exact: g(x, t*f) =
+    sum_b t^b * g_b(x, f), where g_b is the part of g of y-degree b, so
+    each term c*x^a*y^e goes to c*x^a*f^e, summed per y-degree b, and every
+    coefficient of every sum must be 0 mod p.  Monomials are the plain
+    packed values ``pack(e) ^ flip`` of ``groebner._Packing`` under
+    degrevlex, so multiplying two monomials is adding their values.  The
+    field width holds D, the largest deg_x(term) + delta*deg_y(term) over
+    the terms of gens: every x^a*f^e has degree at most D, so its exponents
+    and degree fit their fields and no sum carries into the next field.
+    The packed powers f^e are built once per call, each from a smaller
+    power times one f_i, and shared across gens.
     """
-    nx = F.source_ring.nvars
-    p = F.source_ring.characteristic
-    fs = F.generators
-    f_pow: dict[tuple[int, ...], Polynomial] = {
-        (0,) * len(fs): Polynomial.one(F.source_ring)
-    }
+    ring = F.source_ring
+    nx = ring.nvars
+    p = ring.characteristic
+    delta = F.delta
+    top = max(
+        (sum(e[:nx]) + delta * sum(e[nx:]) for g in gens for e, _ in g.terms),
+        default=0,
+    )
+    pk = _Packing(degrevlex_order(ring), _width_for(top))
+    pack, flip = pk.pack, pk.flip
+    fs = [{pack(e) ^ flip: c for e, c in f.terms} for f in F.generators]
+    f_pow: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(fs): {0: 1}}
 
-    def f_power(e: tuple[int, ...]) -> Polynomial:
-        if e not in f_pow:
+    def f_power(e: tuple[int, ...]) -> dict[int, int]:
+        power = f_pow.get(e)
+        if power is None:
             i = max(k for k, v in enumerate(e) if v)
-            f_pow[e] = f_power(e[:i] + (e[i] - 1,) + e[i + 1:]) * fs[i]
-        return f_pow[e]
+            acc: dict[int, int] = {}
+            for ma, ca in f_power(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
+                for mb, cb in fs[i].items():
+                    m = ma + mb
+                    acc[m] = acc.get(m, 0) + ca * cb
+            power = f_pow[e] = {m: c % p for m, c in acc.items() if c % p}
+        return power
 
     for g in gens:
-        acc: dict[tuple[int, tuple[int, ...]], int] = {}
+        by_degree: dict[int, dict[int, int]] = {}
         for exps, c in g.terms:
-            a, e = exps[:nx], exps[nx:]
-            b = sum(e)
-            for fe, fc in f_power(e).terms:
-                key = (b, tuple(map(add, a, fe)))
-                v = (acc.get(key, 0) + c * fc) % p
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
-        if acc:
+            e = exps[nx:]
+            acc = by_degree.setdefault(sum(e), {})
+            xa = pack(exps[:nx]) ^ flip
+            for m, fc in f_power(e).items():
+                k = xa + m
+                acc[k] = acc.get(k, 0) + c * fc
+        if any(v % p for acc in by_degree.values() for v in acc.values()):
             raise InvariantViolation(
                 f"Rees generator {g} does not vanish on the graph"
             )

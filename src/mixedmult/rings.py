@@ -217,6 +217,12 @@ class Polynomial:
     [1, characteristic), sorted descending under degrevlex.  The zero
     polynomial has an empty term tuple.  Instances are immutable and
     hashable.
+
+    The constructor validates, merges, reduces and sorts any terms.  The
+    private ``_canonical`` skips all of that: its caller guarantees a term
+    tuple already in the form above, with distinct exponent tuples of the
+    ring's length, entries in [0, MAX_EXPONENT], and no zero coefficient;
+    ``Polynomial(ring, terms).terms == terms`` then holds.
     """
 
     __slots__ = ("ring", "terms", "_hash")
@@ -243,6 +249,16 @@ class Polynomial:
                 acc.pop(exps, None)
         self.terms = tuple((e, acc[e]) for e in sorted(acc, key=_grevlex_neg_key))
         self._hash = None
+
+    @classmethod
+    def _canonical(cls, ring: RingSpec, terms: tuple) -> "Polynomial":
+        """A polynomial from a term tuple already in canonical form (see the
+        class docstring), taken as it is."""
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        poly._hash = None
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -334,7 +350,6 @@ class Polynomial:
             return o
         p = self.ring.characteristic
         acc: dict[tuple[int, ...], int] = {}
-        # exponents above MAX_EXPONENT raise in the constructor below
         for ea, ca in self.terms:
             for eb, cb in o.terms:
                 e = tuple(map(add, ea, eb))
@@ -343,7 +358,11 @@ class Polynomial:
                     acc[e] = v
                 else:
                     acc.pop(e, None)
-        return Polynomial(self.ring, acc.items())
+        if acc and max(map(max, acc)) > MAX_EXPONENT:
+            raise ExponentOverflow("exponent exceeds cap")
+        return Polynomial._canonical(
+            self.ring, tuple((e, acc[e]) for e in sorted(acc, key=_grevlex_neg_key))
+        )
 
     __rmul__ = __mul__
 

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, product
+from operator import add
 
 from mixedmult import (
     GroebnerBasis,
@@ -482,6 +483,49 @@ def work_ring_rees_check(F: RationalMapSpec, gens) -> None:
             raise InvariantViolation(
                 f"Rees generator {g} does not vanish on the graph"
             )
+
+
+def tuple_graph_check(F: RationalMapSpec, gens) -> None:
+    """Reference Rees check on exponent tuples: each term c*x^a*y^e of g
+    goes to c*x^a*f^e, summed per (y-degree, exponent) with the products
+    f^e built as ``Polynomial`` powers; raises InvariantViolation unless
+    every sum vanishes."""
+    nx = F.source_ring.nvars
+    p = F.source_ring.characteristic
+    fs = F.generators
+    f_pow: dict[tuple[int, ...], Polynomial] = {
+        (0,) * len(fs): Polynomial.one(F.source_ring)
+    }
+
+    def f_power(e: tuple[int, ...]) -> Polynomial:
+        if e not in f_pow:
+            i = max(k for k, v in enumerate(e) if v)
+            f_pow[e] = f_power(e[:i] + (e[i] - 1,) + e[i + 1:]) * fs[i]
+        return f_pow[e]
+
+    for g in gens:
+        acc: dict[tuple[int, tuple[int, ...]], int] = {}
+        for exps, c in g.terms:
+            a, e = exps[:nx], exps[nx:]
+            b = sum(e)
+            for fe, fc in f_power(e).terms:
+                key = (b, tuple(map(add, a, fe)))
+                v = (acc.get(key, 0) + c * fc) % p
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+        if acc:
+            raise InvariantViolation(
+                f"Rees generator {g} does not vanish on the graph"
+            )
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """p's terms are exactly what the validating constructor makes of them:
+    a tuple sorted descending under degrevlex, coefficients in [1, char),
+    no repeated monomial."""
+    assert Polynomial(p.ring, p.terms).terms == p.terms
 
 
 def trial_division_is_prime(n: int) -> bool:

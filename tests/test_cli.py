@@ -387,6 +387,30 @@ def test_mersenne_characteristic_runs(capsys, tmp_path):
     assert result["series"]["numerator"] == [["1", [0]], ["-1", [2]]]
 
 
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        # the parser rejects the exponent
+        ["x0^2147483648"],
+        # the product x0^2147483647 * x0 passes the cap
+        ["x0^2147483647*x0"],
+        # the S-polynomial of the two is -x0*x1^2147483648
+        ["x0^2147483647*x1 - x1^2147483647*x0", "x0^2147483646*x1^2"],
+    ],
+    ids=["parse", "product", "remainder"],
+)
+def test_exponent_overflow_reports_math_error(capsys, tmp_path, ideal):
+    doc = {"characteristic": 32003, "blocks": [{"vars": ["x0", "x1"]}], "ideal": ideal}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "hilbert", "--input", path)
+    assert rc == 1
+    assert err == ""
+    rep = report_of(out)
+    assert rep["result"] is None
+    assert rep["error"]["type"] == "ExponentOverflow"
+
+
 def test_bad_shift_type(capsys, tmp_path):
     doc = {
         "characteristic": 32003,

@@ -21,11 +21,12 @@ from mixedmult import (
     saturation,
     set_pair_budget,
 )
-from mixedmult.groebner import DEFAULT_PAIR_BUDGET, resolve_pair_budget
-from mixedmult.rings import TermOrder
+from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _lift, _project, resolve_pair_budget
+from mixedmult.rings import TermOrder, elimination_order
 
 from helpers import (
     CHAR,
+    assert_canonical,
     assert_holds_its_basis,
     mk,
     p1xp1,
@@ -450,6 +451,75 @@ def test_intersection_membership_oracle():
     for g1 in J1.generators:
         for g2 in J2.generators:
             assert inter.contains(g1 * g2)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials built without validation
+
+
+@settings(max_examples=60)
+@given(inputs=saturation_inputs(), data=st.data())
+def test_trusted_constructions_are_canonical(inputs, data):
+    """Products, lifts and projections, reduced bases under degrevlex and
+    an elimination order, saturations and normal forms are each what the
+    validating constructor makes of their terms."""
+    J, K = inputs
+    f, g = data.draw(factors), data.draw(factors)
+    drop = data.draw(st.sets(st.sampled_from(R3.variables), min_size=1))
+    ext = R3.extended("_w", 2)
+    elim = groebner_basis(J, elimination_order(R3, drop))
+    built = [f * g, f * g * g, _lift(f * g, ext), _project(_lift(f * g, ext), R3)]
+    built += groebner_basis(J).elements + elim.elements
+    built += saturation(J, K).generators
+    built += [normal_form(f * g, groebner_basis(J)), normal_form(f * g, elim)]
+    for q in built:
+        assert_canonical(q)
+
+
+def test_elimination_basis_element_keeps_degrevlex_terms():
+    """t - x^2 leads with t under the elimination order of t but with x^2
+    under degrevlex: the basis element lists x^2 first."""
+    ring = ring_blocks(("x", "y", "t"))
+    G = groebner_basis(mk(ring, "t - x^2", "t*y - x"), elimination_order(ring, ("t",)))
+    g = G.elements[G.leading_exps.index((0, 0, 1))]
+    assert g.terms == (((2, 0, 0), CHAR - 1), ((0, 0, 1), 1))
+    for g in G.elements:
+        assert_canonical(g)
+
+
+def test_lift_project_and_products_are_canonical():
+    ext = RXY.extended("w")
+    f = pp(RXY, "x^2 - 3*x*y + y")
+    lifted = _lift(f, ext)
+    assert lifted == Polynomial(ext, ((e + (0,), c) for e, c in f.terms))
+    assert _project(lifted, RXY) == f
+    w = Polynomial.variable(ext, "w")
+    for q in (lifted, _project(lifted, RXY), f * f, w * lifted, lifted * (1 - w)):
+        assert_canonical(q)
+
+
+def test_saturation_builds_one_canonical_rabinowitsch_polynomial(monkeypatch):
+    """The helper generator 1 - sum_j w_j*k_j equals the one built by
+    subtractions through the validating constructor."""
+    seen = []
+    eliminate = gb.elimination_ideal
+
+    def spy(J, drop):
+        seen.append(J)
+        return eliminate(J, drop)
+
+    monkeypatch.setattr(gb, "elimination_ideal", spy)
+    J = mk(R, "x0^2*y1 - x1^2*y0", "x0*x1*y0*y1")
+    K = mk(R, "x0*y0", "x0*y1 + 2*x1*y0", "x1*y1 - 1", "5")
+    saturation(J, K)
+    (work,) = seen
+    ext = work.ring
+    expected = Polynomial.one(ext)
+    for name, k in zip(ext.variables[R.nvars:], K.generators):
+        expected = expected - Polynomial.variable(ext, name) * _lift(k, ext)
+    assert work.generators[-1] == expected
+    for g in work.generators:
+        assert_canonical(g)
 
 
 # ---------------------------------------------------------------------------

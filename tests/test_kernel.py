@@ -350,6 +350,30 @@ def test_exponent_above_cap_raises_like_tuple_oracle(widths, exprs, drop, budget
     assert widths == expected
 
 
+def test_exponent_above_cap_in_final_reduction_raises_like_tuple_oracle(widths):
+    """The tail x0^MAX*x1^3 of the first input goes past the cap only in the
+    final inter-reduction, by x1^3 - x0^2*x2, the difference of the two
+    later inputs that share a lead: the first input's lead is coprime to
+    both other leads, so no S-pair reaches that tail before."""
+    ring = ring_blocks(("x0", "x1", "x2", "t", "u"))
+    half = MAX_EXPONENT // 2
+    far = f"x1^3*t^{half}*u^{half + 3}"
+    gens = frozenset(
+        pp(ring, e)
+        for e in (
+            f"x0^{MAX_EXPONENT}*x2^4 + x0^{MAX_EXPONENT}*x1^3",
+            far,
+            f"{far} + x1^3 - x0^2*x2",
+        )
+    )
+    order = degrevlex_order(ring)
+    with pytest.raises(ExponentOverflow):
+        tuple_buchberger(ring, gens, order, DEFAULT_PAIR_BUDGET)
+    with pytest.raises(ExponentOverflow):
+        gb._buchberger.__wrapped__(ring, gens, order, DEFAULT_PAIR_BUDGET)
+    assert widths == [64]
+
+
 def test_normal_form_packs_on_each_call(widths):
     """Every normal form packs the basis anew, at the smallest width that
     holds the basis and the input, and doubles it when the reduction

@@ -16,6 +16,7 @@ from helpers import (
     pp,
     ring_blocks,
     submatrix,
+    tuple_graph_check,
     work_ring_rees_check,
 )
 from mixedmult.errors import InvariantViolation, PresentationMismatch
@@ -228,6 +229,81 @@ def test_rees_check_rejects_y_monomial_like_work_ring_oracle(name, data, coeff):
         work_ring_rees_check(F, (bad,))
     with pytest.raises(InvariantViolation, match="does not vanish"):
         _check_on_graph(F, gens[:1] + (bad,))
+
+
+REES_CHECKS = (_check_on_graph, tuple_graph_check, work_ring_rees_check)
+
+
+def rees_verdicts(F, gens) -> list[bool]:
+    """Whether each of the packed, tuple and work-ring checks accepts gens."""
+    verdicts = []
+    for check in REES_CHECKS:
+        try:
+            check(F, gens)
+        except InvariantViolation:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+@given(
+    name=st.sampled_from(sorted(REES_MAPS)),
+    data=st.data(),
+    coeffs=st.lists(st.integers(1, CHAR - 1), min_size=1, max_size=3),
+)
+def test_rees_check_agrees_with_tuple_and_work_ring_oracles(name, data, coeffs):
+    """A Rees generator plus terms c*x^a*y^e with a != 0, in one or several
+    y-degrees: the packed check, the tuple check and the work-ring check
+    all give one verdict, and a single such term is always rejected (its
+    image c*x^a*f^e in y-degree |e| has nothing to cancel against)."""
+    F, gens = rees_case(name)
+    g = data.draw(st.sampled_from(gens))
+    nx, ny = F.source_ring.nvars, len(F.generators)
+    xs = st.tuples(*(st.integers(0, 2) for _ in range(nx))).filter(any)
+    ys = st.tuples(*(st.integers(0, 2) for _ in range(ny)))
+    bad = g + Polynomial(
+        g.ring, ((data.draw(xs) + data.draw(ys), c) for c in coeffs)
+    )
+    verdicts = rees_verdicts(F, gens[:1] + (bad,))
+    assert len(set(verdicts)) == 1
+    if len(coeffs) == 1:
+        assert verdicts == [False] * 3
+    assert rees_verdicts(F, gens) == [True] * 3
+
+
+@pytest.mark.parametrize(
+    "extra, accepted",
+    [
+        # images x0^3 in y-degree 1 and -x0^3 in y-degree 0
+        ("x0^2*y0 - x0^3", False),
+        # images x0^3 in y-degree 2 and -x0^3 in y-degree 1
+        ("x0*y0^2 - x0^2*y0", False),
+        # x0*g + x0*y0*g for the generator g = x0*y1 - x1*y0
+        ("x0^2*y1 - x0*x1*y0 + x0^2*y0*y1 - x0*x1*y0^2", True),
+    ],
+)
+def test_rees_check_perturbations_across_y_degrees(extra, accepted):
+    """Terms c*x^a*y^e with a != 0 in several y-degrees, added to the Rees
+    generator of the identity map: images that cancel only across
+    y-degrees are rejected, a multiple of the generator is accepted, and
+    all three checks agree."""
+    F = identity_map()
+    gens = rees_ideal(F).generators
+    bad = gens[0] + parse_polynomial(extra, F.graph_ring())
+    assert rees_verdicts(F, (bad,)) == [accepted] * 3
+
+
+def test_rees_check_holds_products_past_sixteen_bit_fields():
+    """F = (x0^20000, x1^20000): the products x^a*f^e have degree 40000,
+    past the fields of 16 bits, so the packed check widens its fields."""
+    F = RationalMapSpec.make(CHAR, ("x0", "x1"), ("x0^20000", "x1^20000"))
+    J = rees_ideal(F)
+    assert [str(g) for g in J.generators] == ["x1^20000*y0 - x0^20000*y1"]
+    assert rees_verdicts(F, J.generators) == [True] * 3
+    assert projective_degrees(F).degrees == (20000, 1)
+    bad = J.generators[0] + parse_polynomial("5*x0^20000*y0", J.ring)
+    assert rees_verdicts(F, (bad,)) == [False] * 3
 
 
 HELD_BASIS_MAPS = dict(REES_MAPS, twisted_cubic=cubic_map)
