@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -26,12 +27,7 @@ from .errors import (
     PresentationMismatch,
     SamplingExhausted,
 )
-from .groebner import (
-    Ideal,
-    pair_budget_override,
-    resolve_pair_budget,
-    set_pair_budget,
-)
+from .groebner import Ideal, set_pair_budget
 from .hilbert import (
     coarsened_multiplicity,
     graded_piece_dim,
@@ -433,7 +429,7 @@ def _cmd_slice(J: Ideal, args):
     checks = [
         {
             "name": "slicing_matches_multidegree",
-            "passed": matching >= report.trials - 1,
+            "passed": matching >= max(1, report.trials - 1),
             "details": {
                 "algebraic": algebraic,
                 "matching_trials": matching,
@@ -515,6 +511,25 @@ def _digest(input_bytes: bytes | None, args: argparse.Namespace) -> str:
     return h.hexdigest()
 
 
+def _pair_budget(flag: int | None) -> int | None:
+    """The run's S-pair budget: --pair-budget, else MM_PAIR_BUDGET, else
+    None (the library default)."""
+    if flag is not None:
+        if flag <= 0:
+            raise UsageError("--pair-budget must be positive")
+        return flag
+    env = os.environ.get("MM_PAIR_BUDGET")
+    if not env:
+        return None
+    try:
+        budget = int(env)
+    except ValueError:
+        raise UsageError(f"MM_PAIR_BUDGET must be an integer, got {env!r}") from None
+    if budget <= 0:
+        raise UsageError("MM_PAIR_BUDGET must be positive")
+    return budget
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -524,7 +539,7 @@ def run(argv=None) -> int:
 
     input_bytes = None
     started = time.monotonic()
-    previous_budget = pair_budget_override()
+    previous_budget = None
     try:
         data = None
         if getattr(args, "input", None):
@@ -539,14 +554,9 @@ def run(argv=None) -> int:
                 raise UsageError(f"malformed JSON in {args.input}: {e}") from e
             if not isinstance(data, dict):
                 raise UsageError("input must be a JSON object")
-        if args.pair_budget is not None and args.pair_budget <= 0:
-            raise UsageError("--pair-budget must be positive")
         # resolved once, so a bad MM_PAIR_BUDGET is a usage error for every
         # command, not a math failure inside the first Groebner basis
-        try:
-            set_pair_budget(resolve_pair_budget(args.pair_budget))
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+        previous_budget = set_pair_budget(_pair_budget(args.pair_budget))
 
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -606,7 +616,8 @@ def run(argv=None) -> int:
         print(f"mm: {e}", file=sys.stderr)
         return 2
     finally:
-        set_pair_budget(previous_budget)
+        if previous_budget is not None:
+            set_pair_budget(previous_budget)
 
 
 def _emit(report: dict, started: float, pretty: bool) -> None:

@@ -57,7 +57,6 @@ original ring keeps that basis; the colon is read from a degrevlex run.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import mul
@@ -80,39 +79,18 @@ from .rings import (
 
 DEFAULT_PAIR_BUDGET = 200000
 
-_budget_override: Optional[int] = None
+_pair_budget = DEFAULT_PAIR_BUDGET
 
 
-def set_pair_budget(n: Optional[int]) -> None:
-    """Set (or with None, clear) the process-wide S-pair budget override."""
-    global _budget_override
+def set_pair_budget(n: Optional[int]) -> int:
+    """Set the process-wide S-pair budget (None: the default) and return
+    the budget it replaces, so a caller can restore it."""
+    global _pair_budget
     if n is not None and n <= 0:
         raise ValueError("pair budget must be positive")
-    _budget_override = n
-
-
-def pair_budget_override() -> Optional[int]:
-    """The process-wide S-pair budget override, or None when unset."""
-    return _budget_override
-
-
-def resolve_pair_budget(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        if explicit <= 0:
-            raise ValueError("pair budget must be positive")
-        return explicit
-    if _budget_override is not None:
-        return _budget_override
-    env = os.environ.get("MM_PAIR_BUDGET")
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ValueError(f"MM_PAIR_BUDGET must be an integer, got {env!r}")
-        if val <= 0:
-            raise ValueError("MM_PAIR_BUDGET must be positive")
-        return val
-    return DEFAULT_PAIR_BUDGET
+    previous = _pair_budget
+    _pair_budget = DEFAULT_PAIR_BUDGET if n is None else n
+    return previous
 
 
 class Ideal:
@@ -396,21 +374,20 @@ def groebner_basis(J: Ideal, order: Optional[TermOrder] = None) -> GroebnerBasis
 
     The Buchberger run is memoized on (ring, generator set, order, pair
     budget): the same generators in any order and with any repeats share one
-    entry, and since the resolved budget is part of the key a basis computed
+    entry, and since the budget is part of the key a basis computed
     under one budget is never returned under a smaller one.  The memo is a
     bounded LRU; ``_buchberger.cache_info()`` reads its hits and misses and
     ``_buchberger.cache_clear()`` empties it.  An ``Ideal`` that holds its
     reduced degrevlex basis (see ``_holding``) gets that basis back under
-    degrevlex with no run, so no pair budget limits it; the budget is still
-    resolved and validated first.
+    degrevlex with no run, so no pair budget limits it.  The budget is the
+    one ``set_pair_budget`` last set.
     """
-    budget = resolve_pair_budget()
     held = J._basis
     if held is not None and (order is None or order == held.order):
         return held
     if order is None:
         order = degrevlex_order(J.ring)
-    return _buchberger(J.ring, frozenset(J.generators), order, budget)
+    return _buchberger(J.ring, frozenset(J.generators), order, _pair_budget)
 
 
 # One benchmark pass of many small saturations makes under 800 distinct

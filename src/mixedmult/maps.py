@@ -207,10 +207,9 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
     and ``hilbert_polynomial`` of the result runs no second Buchberger.
     """
     graph = F.graph_ring()
-    xs = F.source_vars
     ys = F.target_names()
-    tname = _fresh_names(("t", "s", "tt"), 1, set(xs) | set(ys))[0]
-    work = graph.extended(tname)
+    work = graph.extended("t")
+    tname = work.variables[-1]
     t_poly = Polynomial.variable(work, tname)
     work_gens = tuple(
         Polynomial.variable(work, y) - t_poly * _lift(f, work)

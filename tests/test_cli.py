@@ -8,9 +8,9 @@ import subprocess
 
 import pytest
 
+import mixedmult.cli as cli
 import mixedmult.multigraded as mg
 from mixedmult import MixedMultTable, set_pair_budget
-from mixedmult.groebner import resolve_pair_budget
 from mixedmult.cli import run
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
@@ -266,6 +266,28 @@ def test_route_disagreement_fails_the_check(argv, capsys, monkeypatch):
     assert check["name"] == "route_agreement" and check["passed"] is False
 
 
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_slice_disagreement_fails_the_check(trials, capsys, monkeypatch):
+    """A slice check needs a matching trial, even when only one is run."""
+    monkeypatch.chdir(TESTS_DIR)
+    monkeypatch.setattr(cli, "multidegree", lambda J, n: 999)
+    rc, out, _ = run_cli(
+        capsys,
+        "slice",
+        "--input",
+        f"{INPUTS}/diag.json",
+        "--type",
+        "1,0",
+        "--trials",
+        trials,
+    )
+    assert rc == 1
+    rep = report_of(out)
+    assert rep["failed_checks"] == ["slicing_matches_multidegree"]
+    details = rep["checks"][0]["details"]
+    assert details["matching_trials"] == 0 and details["trials"] == trials
+
+
 def test_multidegree_type_length_mismatch(capsys, monkeypatch):
     monkeypatch.chdir(TESTS_DIR)
     rc, out, _ = run_cli(
@@ -286,7 +308,7 @@ def test_run_restores_the_callers_pair_budget(capsys):
                 capsys, "formula", "--ht2", "--d", "2", "--mu", "1,1,1", *extra
             )
             assert rc == 0
-            assert resolve_pair_budget() == 5000
+            assert set_pair_budget(5000) == 5000
     finally:
         set_pair_budget(None)
 

@@ -21,7 +21,7 @@ from mixedmult import (
     saturation,
     set_pair_budget,
 )
-from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _lift, _project, resolve_pair_budget
+from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _lift, _project
 from mixedmult.rings import TermOrder, elimination_order
 
 from helpers import (
@@ -561,43 +561,40 @@ def test_memoized_basis_respects_smaller_budget():
     assert err.value.stats["pairs_processed"] == 2
 
 
-def test_budget_resolution_precedence(monkeypatch):
-    monkeypatch.delenv("MM_PAIR_BUDGET", raising=False)
-    assert resolve_pair_budget() == DEFAULT_PAIR_BUDGET
-    monkeypatch.setenv("MM_PAIR_BUDGET", "77")
-    assert resolve_pair_budget() == 77
+def test_set_pair_budget_returns_the_budget_it_replaces():
     try:
-        set_pair_budget(55)
-        assert resolve_pair_budget() == 55
-        assert resolve_pair_budget(explicit=33) == 33
+        assert set_pair_budget(55) == DEFAULT_PAIR_BUDGET
+        assert set_pair_budget(33) == 55
+        assert set_pair_budget(None) == 33
     finally:
         set_pair_budget(None)
-    assert resolve_pair_budget() == 77
-
-
-def test_budget_env_validation(monkeypatch):
-    held = saturation(mk(FRESH, "a*b"), mk(FRESH, "a"))
-    assert held._basis is not None
-    monkeypatch.setenv("MM_PAIR_BUDGET", "zero")
-    with pytest.raises(ValueError):
-        resolve_pair_budget()
-    monkeypatch.setenv("MM_PAIR_BUDGET", "-4")
-    with pytest.raises(ValueError):
-        resolve_pair_budget()
-    # a held basis needs no run, but the budget is still validated first
-    with pytest.raises(ValueError, match="MM_PAIR_BUDGET must be positive"):
-        groebner_basis(held)
+    assert set_pair_budget(None) == DEFAULT_PAIR_BUDGET
 
 
 def test_set_pair_budget_validation():
-    with pytest.raises(ValueError):
-        set_pair_budget(0)
+    set_pair_budget(55)
+    try:
+        with pytest.raises(ValueError):
+            set_pair_budget(0)
+    finally:
+        current = set_pair_budget(None)
+    # a rejected budget leaves the current one in place
+    assert current == 55
 
 
 def test_explicit_pair_budget_validation():
     for bad in (0, -1, -5):
         with pytest.raises(ValueError, match="pair budget must be positive"):
-            resolve_pair_budget(explicit=bad)
+            set_pair_budget(bad)
+    assert set_pair_budget(None) == DEFAULT_PAIR_BUDGET
+
+
+@pytest.mark.parametrize("env", ["1", "abc"])
+def test_library_ignores_pair_budget_env(monkeypatch, env):
+    """Only ``mm`` reads MM_PAIR_BUDGET; a library run uses the set budget."""
+    monkeypatch.setenv("MM_PAIR_BUDGET", env)
+    gb._buchberger.cache_clear()
+    assert len(groebner_basis(_budget_victim()).elements) >= 3
 
 
 # ---------------------------------------------------------------------------

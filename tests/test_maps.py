@@ -334,6 +334,12 @@ def test_projective_degrees_elimination_examples():
     assert projective_degrees(identity_map()).degrees == (1, 1)
 
 
+def test_rees_helper_avoids_source_names_t_s_tt():
+    F = RationalMapSpec.make(CHAR, ("t", "s", "tt"), ("s*tt", "t*tt", "t*s"))
+    assert rees_ideal(F).ring.variables == ("t", "s", "tt", "y0", "y1", "y2")
+    assert projective_degrees(F).degrees == (1, 2, 1)
+
+
 def test_projective_degrees_slicing_matches_elimination():
     got = projective_degrees(cremona_map(), "slicing", seed=3, trials=6)
     assert got.degrees == (1, 2, 1)
