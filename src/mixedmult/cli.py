@@ -496,6 +496,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _digest(input_bytes: bytes | None, args: argparse.Namespace) -> str:
     h = hashlib.sha256()
     if input_bytes is not None:
@@ -531,9 +534,8 @@ def _pair_budget(flag: int | None) -> int | None:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
 

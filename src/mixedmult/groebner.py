@@ -640,14 +640,18 @@ def _project(p: Polynomial, ring: RingSpec) -> Polynomial:
     return Polynomial._canonical(ring, tuple((e[:n], c) for e, c in p.terms))
 
 
-def _drop_helpers(eliminated: Ideal, ring: RingSpec) -> Ideal:
-    """The result of ``elimination_ideal`` over ``ring`` extended by trailing
-    helpers, projected back to ``ring`` with its held basis.
+def _eliminate_helpers(
+    ext: RingSpec, gens: Iterable[Polynomial], ring: RingSpec
+) -> Ideal:
+    """The ideal of ``gens`` in ``ext``, ``ring`` extended by trailing
+    helpers, intersected with ``ring``, holding its reduced degrevlex basis.
 
     Dropping trailing zero exponents keeps degrevlex comparisons, so the
-    projected basis is still the reduced degrevlex basis, in the same order.
+    helper-free part of the elimination basis, projected, is still the
+    reduced degrevlex basis, in the same order.
     """
     n = ring.nvars
+    eliminated = elimination_ideal(Ideal(ext, gens), ext.variables[n:])
     return _holding(
         ring,
         [_project(g, ring) for g in eliminated.generators],
@@ -663,12 +667,11 @@ def ideal_intersection(J1: Ideal, J2: Ideal) -> Ideal:
     if not J1.generators or not J2.generators:
         return _holding(ring, (), ())
     ext = ring.extended("_w")
-    wname = ext.variables[-1]
-    w = Polynomial.variable(ext, wname)
+    w = Polynomial.variable(ext, ext.variables[-1])
     one_minus_w = Polynomial.one(ext) - w
     gens = [w * _lift(g, ext) for g in J1.generators]
     gens += [one_minus_w * _lift(g, ext) for g in J2.generators]
-    return _drop_helpers(elimination_ideal(Ideal(ext, gens), (wname,)), ring)
+    return _eliminate_helpers(ext, gens, ring)
 
 
 def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -726,7 +729,6 @@ def saturation(J: Ideal, K: Ideal) -> Ideal:
     ring = J.ring
     r = len(K.generators)
     ext = ring.extended("_w", r)
-    helpers = ext.variables[ring.nvars:]
     p = ring.characteristic
     # each w_j·k_j term carries its own w_j, so no two terms share a monomial
     terms = [(ext.zero_exps(), 1)]
@@ -736,4 +738,4 @@ def saturation(J: Ideal, K: Ideal) -> Ideal:
     terms.sort(key=lambda t: _grevlex_neg_key(t[0]))
     rabinowitsch = Polynomial._canonical(ext, tuple(terms))
     gens = [_lift(g, ext) for g in J.generators] + [rabinowitsch]
-    return _drop_helpers(elimination_ideal(Ideal(ext, gens), helpers), ring)
+    return _eliminate_helpers(ext, gens, ring)

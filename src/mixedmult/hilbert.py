@@ -484,9 +484,9 @@ def series_coefficient(rep: HilbertSeriesRep, nu: tuple[int, ...]) -> int:
 # Mixed multiplicities from the series
 
 
-def mixed_mult_series(J: Ideal, pivot_rule: str = "default") -> MixedMultTable:
+def mixed_mult_series(J: Ideal) -> MixedMultTable:
     """Table of e_n over all types with |n+1| = dim, from K(1-s)."""
-    return series_table(k_polynomial(J, pivot_rule))
+    return series_table(k_polynomial(J))
 
 
 def series_table(rep: HilbertSeriesRep) -> MixedMultTable:

@@ -27,17 +27,9 @@ from itertools import combinations, combinations_with_replacement
 from operator import mul
 
 from .errors import InvariantViolation, NotMultihomogeneousError, PresentationMismatch
-from .groebner import (
-    Ideal,
-    _drop_helpers,
-    _lift,
-    _Packing,
-    _width_for,
-    elimination_ideal,
-    saturation,
-)
+from .groebner import Ideal, _eliminate_helpers, _lift, _Packing, _width_for
 from .hilbert import hilbert_polynomial, k_polynomial, quotient_dimension, series_coefficient
-from .multigraded import block_ideal, random_block_form, slice_degree
+from .multigraded import irrelevant_saturation, random_block_form, slice_degree
 from .prng import Prng
 from .rings import Polynomial, RingSpec, degrevlex_order, parse_polynomial
 
@@ -203,20 +195,19 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
     (``_check_on_graph``), and the ideal is checked to be bigraded.  The
     generators are the reduced degrevlex basis of the ideal and the result
     holds it: t is the trailing variable, so the t-free part of the reduced
-    elimination basis, projected, is that basis (``groebner._drop_helpers``),
-    and ``hilbert_polynomial`` of the result runs no second Buchberger.
+    elimination basis, projected, is that basis
+    (``groebner._eliminate_helpers``), and ``hilbert_polynomial`` of the
+    result runs no second Buchberger.
     """
     graph = F.graph_ring()
     ys = F.target_names()
     work = graph.extended("t")
-    tname = work.variables[-1]
-    t_poly = Polynomial.variable(work, tname)
-    work_gens = tuple(
+    t_poly = Polynomial.variable(work, work.variables[-1])
+    work_gens = [
         Polynomial.variable(work, y) - t_poly * _lift(f, work)
         for y, f in zip(ys, F.generators)
-    )
-    elim = elimination_ideal(Ideal(work, work_gens), (tname,))
-    result = _drop_helpers(elim, graph)
+    ]
+    result = _eliminate_helpers(work, work_gens, graph)
     _check_on_graph(F, result.generators)
     try:
         result.require_multihomogeneous()
@@ -681,7 +672,6 @@ def satfiber_dims(F: RationalMapSpec, q_max: int) -> SatFiberTable:
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     ring = F.source_ring
-    m = block_ideal(ring, 0)
     d = F.d
     delta = F.delta
     nonzero = tuple(g for g in F.generators if not g.is_zero())
@@ -694,7 +684,7 @@ def satfiber_dims(F: RationalMapSpec, q_max: int) -> SatFiberTable:
             reduce(mul, sel, Polynomial.one(ring))
             for sel in combinations_with_replacement(nonzero, q)
         )
-        sat = saturation(Ideal(ring, gens_q), m)
+        sat = irrelevant_saturation(Ideal(ring, gens_q))
         total = math.comb(q * delta + d, d)
         dims.append(total - series_coefficient(k_polynomial(sat), (q * delta,)))
     levels = []

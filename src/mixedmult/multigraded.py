@@ -58,12 +58,9 @@ def irrelevant_ideal(ring: RingSpec) -> Ideal:
 
 
 def irrelevant_saturation(J: Ideal) -> Ideal:
-    """(J : N^inf) for the irrelevant ideal N; the shift is preserved."""
+    """(J : N^inf) for the irrelevant ideal N, as a plain ideal (no shift)."""
     J.require_multihomogeneous()
-    sat = saturation(J, irrelevant_ideal(J.ring))
-    if J.shift is not None:
-        sat = sat.with_shift(J.shift)
-    return sat
+    return saturation(J, irrelevant_ideal(J.ring))
 
 
 def compare_routes(J: Ideal) -> tuple[MixedMultTable, str | None]:
@@ -156,7 +153,7 @@ def is_filter_regular(J: Ideal, h: Polynomial) -> FilterRegularWitness:
     """
     block = _linear_block_of(h)
     ring = J.ring
-    sat = irrelevant_saturation(J.with_shift(None))
+    sat = irrelevant_saturation(J)
     base = k_polynomial(sat).numerator
     cut = k_polynomial(Ideal(ring, sat.generators + (h,))).numerator
     e = tuple(int(i == block) for i in range(ring.r))
@@ -198,7 +195,7 @@ def _sliced_by_verified_forms(
     Returns (sliced ideal, resample count).  Raises
     SamplingExhausted after MAX_RESAMPLES failures on a single slot.
     """
-    current = J.with_shift(None)
+    current = J
     resamples = 0
     for block, count in enumerate(n):
         for slot in range(count):
@@ -282,7 +279,9 @@ def slice_degree(
     Trials whose sampling exhausts the resample budget are reported as
     unverified and skipped, not raised.
     """
-    if len(n) != J.ring.r or any(k < 0 for k in n):
+    if len(n) != J.ring.r:
+        raise ValueError("type vector length mismatch")
+    if any(k < 0 for k in n):
         raise ValueError("type vector must be componentwise nonnegative")
     if trials < 1:
         raise ValueError("need at least one trial")

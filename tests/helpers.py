@@ -187,7 +187,7 @@ def colon_filter_regular(J: Ideal, h: Polynomial) -> bool:
     and exact division) and each of its generators is reduced to a normal
     form against the saturation's basis.
     """
-    G = groebner_basis(irrelevant_saturation(J.with_shift(None)))
+    G = groebner_basis(irrelevant_saturation(J))
     return all(normal_form(g, G).is_zero() for g in ideal_quotient(J, h).generators)
 
 

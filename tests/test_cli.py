@@ -10,7 +10,13 @@ import pytest
 
 import mixedmult.cli as cli
 import mixedmult.multigraded as mg
-from mixedmult import MixedMultTable, set_pair_budget
+from mixedmult import (
+    Ideal,
+    MixedMultTable,
+    RingSpec,
+    parse_polynomial,
+    set_pair_budget,
+)
 from mixedmult.cli import run
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
@@ -300,6 +306,48 @@ def test_multidegree_type_length_mismatch(capsys, monkeypatch):
     }
 
 
+def test_slice_type_length_mismatch(capsys, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, _ = run_cli(
+        capsys, "slice", "--input", f"{INPUTS}/diag.json", "--type", "1,0,0"
+    )
+    assert rc == 1
+    assert report_of(out)["error"] == {
+        "type": "ValueError",
+        "message": "type vector length mismatch",
+    }
+
+
+@pytest.mark.parametrize("shift", [(1, 2), (1, -2), (-3, 0)])
+def test_irrelevant_saturation_drops_the_shift(shift, capsys, tmp_path):
+    """The saturation is a plain ideal, and a shift moves neither the
+    tables of ``compare_routes`` nor those of ``mm mixed-mult``."""
+    ring = RingSpec(32003, (("x0", "x1"), ("y0", "y1")))
+    gens = ("x0^2*y1 - x0*x1*y0", "x0*x1*y1 - x1^2*y0")  # the diagonal times m_x
+    polys = [parse_polynomial(g, ring) for g in gens]
+    plain, shifted = Ideal(ring, polys), Ideal(ring, polys, shift=shift)
+    sat = mg.irrelevant_saturation(shifted)
+    assert sat.shift is None
+    assert sat.same_ideal(mg.irrelevant_saturation(plain))
+    assert mg.compare_routes(shifted) == mg.compare_routes(plain)
+    assert mg.compare_routes(plain)[1] is None
+
+    def tables(doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        rc, out, _ = run_cli(capsys, "mixed-mult", "--input", path)
+        assert rc == 0
+        result = report_of(out)["result"]
+        return result["series_table"], result["polynomial_table"]
+
+    doc = {
+        "characteristic": 32003,
+        "blocks": [{"vars": ["x0", "x1"]}, {"vars": ["y0", "y1"]}],
+        "ideal": list(gens),
+    }
+    assert tables({**doc, "shift": list(shift)}) == tables(doc)
+
+
 def test_run_restores_the_callers_pair_budget(capsys):
     set_pair_budget(5000)
     try:
@@ -557,6 +605,24 @@ def test_missing_input_flag_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     rc, _, _ = run_cli(capsys, "frobnicate")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "bad_argv",
+    [["hilbert"], ["hilbert", "--input", "x.json", "--seed", "abc"]],
+    ids=["missing-input", "bad-int"],
+)
+def test_parser_serves_a_golden_run_after_a_usage_error(
+    bad_argv, capsys, monkeypatch
+):
+    """The process keeps one parser; a rejected argv leaves it unchanged."""
+    monkeypatch.chdir(TESTS_DIR)
+    rc, _, err = run_cli(capsys, *bad_argv)
+    assert rc == 2 and err
+    rc, out, err = run_cli(capsys, *dict(GOLDEN_CASES)["hilbert_diag"])
+    assert (rc, err) == (0, "")
+    golden = json.loads((GOLDEN_DIR / "hilbert_diag.json").read_text())
+    assert report_of(out) == golden
 
 
 # ---------------------------------------------------------------------------

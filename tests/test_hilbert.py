@@ -303,7 +303,7 @@ def test_high_degree_generators_cost_their_terms(rule):
         assert _knum(((top, 0, 0, 0),), R, rule) == {(0, 0): 1, (top, 0): -1}
         assert _knum(mixed, R, rule) == expected
         J = mk(R, f"x0^{N}", f"y0^{N}")
-        table = mixed_mult_series(J, pivot_rule=rule)
+        table = series_table(k_polynomial(J, rule))
         assert (table.dimension, table.entries) == (2, {(0, 0): N * N})
         assert hilbert_polynomial(J).coefficients == {(0, 0): Fraction(N * N)}
         peak = tracemalloc.get_traced_memory()[1]

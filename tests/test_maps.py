@@ -1,7 +1,9 @@
 """Tests for rational maps: graphs, degree vectors, presentations, formulas."""
 
-from functools import cache
-from itertools import combinations, product
+import math
+from functools import cache, reduce
+from itertools import combinations, combinations_with_replacement, product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +15,7 @@ from helpers import (
     _pf,
     assert_holds_its_basis,
     minors_G_condition,
+    per_generator_saturation,
     pp,
     ring_blocks,
     submatrix,
@@ -21,6 +24,7 @@ from helpers import (
 )
 from mixedmult.errors import InvariantViolation, PresentationMismatch
 from mixedmult.groebner import Ideal
+from mixedmult.hilbert import graded_piece_dim
 from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
@@ -41,6 +45,7 @@ from mixedmult.maps import (
     satfiber_dims,
     submaximal_pfaffians,
 )
+from mixedmult.multigraded import block_ideal
 from mixedmult.prng import Prng
 from mixedmult.rings import Polynomial, RingSpec, parse_polynomial
 
@@ -939,6 +944,42 @@ def test_satfiber_dims_cremona():
 def test_satfiber_dims_identity_and_cubic():
     assert satfiber_dims(identity_map(), 4).dims == (1, 2, 3, 4, 5)
     assert satfiber_dims(cubic_map(), 4).dims == (1, 4, 7, 10, 13)
+
+
+@st.composite
+def small_maps(draw) -> RationalMapSpec:
+    """Maps of P^1 or P^2 by d+1 or d+2 forms of degree 1 or 2, each with
+    one to three terms and small coefficients, so forms may coincide or
+    share factors."""
+    nvars = draw(st.integers(2, 3))
+    delta = draw(st.integers(1, 2))
+    ring = ring_blocks(tuple(f"x{i}" for i in range(nvars)))
+    monomials = [
+        e for e in product(range(delta + 1), repeat=nvars) if sum(e) == delta
+    ]
+    form = st.dictionaries(
+        st.sampled_from(monomials), st.sampled_from((1, -1, 2)), min_size=1, max_size=3
+    ).map(lambda terms: Polynomial(ring, terms.items()))
+    return RationalMapSpec(
+        ring, tuple(draw(st.lists(form, min_size=nvars, max_size=nvars + 1)))
+    )
+
+
+@given(F=small_maps(), q_max=st.integers(1, 3))
+def test_satfiber_dims_match_per_generator_oracle(F, q_max):
+    ring = F.source_ring
+    m = block_ideal(ring, 0)
+    expected = [1]
+    for q in range(1, q_max + 1):
+        power = Ideal(
+            ring,
+            (reduce(mul, sel) for sel in combinations_with_replacement(F.generators, q)),
+        )
+        sat = per_generator_saturation(power, m)
+        piece = q * F.delta
+        total = math.comb(piece + F.d, F.d)
+        expected.append(total - graded_piece_dim(sat, (piece,)))
+    assert satfiber_dims(F, q_max).dims == tuple(expected)
 
 
 def test_satfiber_dims_rejects_small_q_max():
