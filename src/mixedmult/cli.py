@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -44,7 +43,6 @@ from .maps import (
     formula_perfect_ht2,
     ideal_height,
     projective_degrees,
-    rees_ideal,
     satfiber_d0_check,
 )
 from .multigraded import compare_routes, multidegree, slice_degree
@@ -82,6 +80,14 @@ def _require(data: dict, key: str, kind, where: str):
     return v
 
 
+def _ring(p: int, blocks) -> RingSpec:
+    """The input's ring; a malformed one is a usage error."""
+    try:
+        return RingSpec(p, blocks)
+    except ValueError as e:
+        raise UsageError(f"input: {e}") from e
+
+
 def load_ring_ideal(data: dict) -> Ideal:
     p = _require(data, "characteristic", int, "input")
     blocks_raw = _require(data, "blocks", list, "input")
@@ -93,10 +99,7 @@ def load_ring_ideal(data: dict) -> Ideal:
         if not all(isinstance(v, str) for v in vs):
             raise UsageError("block: vars must be strings")
         blocks.append(tuple(vs))
-    try:
-        ring = RingSpec(p, tuple(blocks))
-    except ValueError as e:
-        raise UsageError(f"input: {e}") from e
+    ring = _ring(p, blocks)
     exprs = _require(data, "ideal", list, "input")
     gens = tuple(parse_polynomial(str(e), ring) for e in exprs)
     shift = data.get("shift")
@@ -105,6 +108,8 @@ def load_ring_ideal(data: dict) -> Ideal:
             isinstance(s, int) for s in shift
         ):
             raise UsageError("input: shift must be a list of integers")
+        if len(shift) != ring.r:
+            raise UsageError("input: shift length must equal the number of blocks")
         shift = tuple(shift)
     return Ideal(ring, gens, shift=shift)
 
@@ -115,7 +120,8 @@ def load_map(data: dict) -> tuple[RationalMapSpec, PresentationMatrix | None]:
     if not all(isinstance(v, str) for v in vs):
         raise UsageError("input: vars must be strings")
     exprs = _require(data, "map", list, "input")
-    F = RationalMapSpec.make(p, tuple(vs), [str(e) for e in exprs])
+    ring = _ring(p, (vs,))
+    F = RationalMapSpec(ring, tuple(parse_polynomial(str(e), ring) for e in exprs))
     matrix = None
     if "matrix" in data:
         m = data["matrix"]
@@ -123,7 +129,6 @@ def load_map(data: dict) -> tuple[RationalMapSpec, PresentationMatrix | None]:
             raise UsageError("input: matrix must be an object")
         kind = _require(m, "kind", str, "matrix")
         rows_raw = _require(m, "entries", list, "matrix")
-        ring = F.source_ring
         rows = tuple(
             tuple(parse_polynomial(str(e), ring) for e in row)
             for row in rows_raw
@@ -192,7 +197,8 @@ def _polynomial_json(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (result, checks)
+# Subcommand handlers: each takes (loaded input, args) and returns
+# (result, checks)
 
 
 def _cmd_hilbert(J: Ideal, args):
@@ -272,7 +278,8 @@ def _cmd_multidegree(J: Ideal, args):
     return result, checks
 
 
-def _cmd_projdeg(F: RationalMapSpec, matrix, args):
+def _cmd_projdeg(loaded, args):
+    F, matrix = loaded
     method = args.method
     if method not in ("both", "elimination", "slicing", "formula"):
         raise UsageError(f"unknown method {method!r}")
@@ -345,7 +352,7 @@ def _cmd_projdeg(F: RationalMapSpec, matrix, args):
     return result, checks
 
 
-def _cmd_formula(args):
+def _cmd_formula(_, args):
     if args.ht2 == args.ht3:
         raise UsageError("formula requires exactly one of --ht2 / --ht3")
     if args.d is None:
@@ -371,7 +378,8 @@ def _cmd_formula(args):
     return result, []
 
 
-def _cmd_satfiber(F: RationalMapSpec, args):
+def _cmd_satfiber(loaded, args):
+    F, _ = loaded
     q_max = args.q_max if args.q_max is not None else F.d + 2
     chk = satfiber_d0_check(F, q_max)
     result = {
@@ -397,7 +405,8 @@ def _cmd_satfiber(F: RationalMapSpec, args):
     return result, checks
 
 
-def _cmd_check_g(F: RationalMapSpec, matrix, args):
+def _cmd_check_g(loaded, args):
+    F, matrix = loaded
     if matrix is None:
         raise UsageError("check-g requires a matrix in the input")
     s = args.s if args.s is not None else F.d + 1
@@ -443,6 +452,18 @@ def _cmd_slice(J: Ideal, args):
 # ---------------------------------------------------------------------------
 # Dispatch
 
+# name -> (help, input loader or None, handler)
+COMMANDS = {
+    "hilbert": ("series numerator and polynomial", load_ring_ideal, _cmd_hilbert),
+    "mixed-mult": ("both multiplicity tables", load_ring_ideal, _cmd_mixed_mult),
+    "multidegree": ("multidegree of one type", load_ring_ideal, _cmd_multidegree),
+    "projdeg": ("projective degrees of a map", load_map, _cmd_projdeg),
+    "formula": ("closed-form degree vectors", None, _cmd_formula),
+    "satfiber": ("saturated fiber dimension probe", load_map, _cmd_satfiber),
+    "check-g": ("Fitting-height G condition", load_map, _cmd_check_g),
+    "slice": ("randomized slicing point counts", load_ring_ideal, _cmd_slice),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -453,30 +474,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, input_required=True):
-        if input_required:
+    sps = {}
+    for name, (help_text, load, _) in COMMANDS.items():
+        sp = sps[name] = sub.add_parser(name, help=help_text)
+        if load is not None:
             sp.add_argument("--input", required=True, help="JSON input path")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=10)
         sp.add_argument("--pair-budget", type=int, default=None)
         sp.add_argument("--allow-failed-checks", action="store_true")
         sp.add_argument("--pretty", action="store_true")
-
-    common(sub.add_parser("hilbert", help="series numerator and polynomial"))
-    common(sub.add_parser("mixed-mult", help="both multiplicity tables"))
-    sp = sub.add_parser("multidegree", help="multidegree of one type")
-    common(sp)
-    sp.add_argument("--type", help="comma-separated type vector")
-    sp = sub.add_parser("projdeg", help="projective degrees of a map")
-    common(sp)
-    sp.add_argument(
-        "--method",
-        default="both",
-        help="both | elimination | slicing | formula",
+    for name in ("multidegree", "slice"):
+        sps[name].add_argument("--type", help="comma-separated type vector")
+    sps["projdeg"].add_argument(
+        "--method", default="both", help="both | elimination | slicing | formula"
     )
-    sp = sub.add_parser("formula", help="closed-form degree vectors")
-    common(sp, input_required=False)
+    sp = sps["formula"]
     sp.add_argument("--ht2", action="store_true")
     sp.add_argument("--ht3", action="store_true")
     sp.add_argument("--d", type=int)
@@ -484,15 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--D", type=int)
     sp.add_argument("--delta", type=int)
-    sp = sub.add_parser("satfiber", help="saturated fiber dimension probe")
-    common(sp)
-    sp.add_argument("--q-max", type=int, default=None)
-    sp = sub.add_parser("check-g", help="Fitting-height G condition")
-    common(sp)
-    sp.add_argument("--s", type=int, default=None)
-    sp = sub.add_parser("slice", help="randomized slicing point counts")
-    common(sp)
-    sp.add_argument("--type", help="comma-separated type vector")
+    sps["satfiber"].add_argument("--q-max", type=int, default=None)
+    sps["check-g"].add_argument("--s", type=int, default=None)
     return parser
 
 
@@ -515,22 +521,11 @@ def _digest(input_bytes: bytes | None, args: argparse.Namespace) -> str:
 
 
 def _pair_budget(flag: int | None) -> int | None:
-    """The run's S-pair budget: --pair-budget, else MM_PAIR_BUDGET, else
-    None (the library default)."""
-    if flag is not None:
-        if flag <= 0:
-            raise UsageError("--pair-budget must be positive")
-        return flag
-    env = os.environ.get("MM_PAIR_BUDGET")
-    if not env:
-        return None
-    try:
-        budget = int(env)
-    except ValueError:
-        raise UsageError(f"MM_PAIR_BUDGET must be an integer, got {env!r}") from None
-    if budget <= 0:
-        raise UsageError("MM_PAIR_BUDGET must be positive")
-    return budget
+    """The run's S-pair budget: --pair-budget, else None (the library
+    default)."""
+    if flag is not None and flag <= 0:
+        raise UsageError("--pair-budget must be positive")
+    return flag
 
 
 def run(argv=None) -> int:
@@ -543,8 +538,9 @@ def run(argv=None) -> int:
     started = time.monotonic()
     previous_budget = None
     try:
+        _, load, handler = COMMANDS[args.command]
         data = None
-        if getattr(args, "input", None):
+        if load is not None:
             try:
                 with open(args.input, "rb") as fh:
                     input_bytes = fh.read()
@@ -556,8 +552,9 @@ def run(argv=None) -> int:
                 raise UsageError(f"malformed JSON in {args.input}: {e}") from e
             if not isinstance(data, dict):
                 raise UsageError("input must be a JSON object")
-        # resolved once, so a bad MM_PAIR_BUDGET is a usage error for every
-        # command, not a math failure inside the first Groebner basis
+        # checked before any command runs, so a bad --pair-budget is a usage
+        # error for every command, not a math failure inside the first
+        # Groebner basis
         previous_budget = set_pair_budget(_pair_budget(args.pair_budget))
 
         report = {
@@ -566,27 +563,7 @@ def run(argv=None) -> int:
             "inputs_digest": _digest(input_bytes, args),
         }
         try:
-            if args.command == "hilbert":
-                result, checks = _cmd_hilbert(load_ring_ideal(data), args)
-            elif args.command == "mixed-mult":
-                result, checks = _cmd_mixed_mult(load_ring_ideal(data), args)
-            elif args.command == "multidegree":
-                result, checks = _cmd_multidegree(load_ring_ideal(data), args)
-            elif args.command == "projdeg":
-                F, matrix = load_map(data)
-                result, checks = _cmd_projdeg(F, matrix, args)
-            elif args.command == "formula":
-                result, checks = _cmd_formula(args)
-            elif args.command == "satfiber":
-                F, _ = load_map(data)
-                result, checks = _cmd_satfiber(F, args)
-            elif args.command == "check-g":
-                F, matrix = load_map(data)
-                result, checks = _cmd_check_g(F, matrix, args)
-            elif args.command == "slice":
-                result, checks = _cmd_slice(load_ring_ideal(data), args)
-            else:  # pragma: no cover - argparse guards this
-                raise UsageError(f"unknown command {args.command!r}")
+            result, checks = handler(load(data) if load else None, args)
         except (ParseError, UsageError):
             raise
         except MATH_ERRORS as e:

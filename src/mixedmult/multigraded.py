@@ -13,7 +13,7 @@ off K-polynomials of saturations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import InvariantViolation, SamplingExhausted
@@ -23,6 +23,7 @@ from .hilbert import (
     hilbert_polynomial,
     k_polynomial,
     mixed_mult_series,
+    quotient_dimension,
     series_coefficient,
 )
 from .prng import Prng
@@ -264,9 +265,17 @@ class SliceReport:
 
 
 def _slice_point_count(J: Ideal, n: tuple[int, ...], rng: Prng) -> tuple[int, int]:
-    """(point count, resamples) for one verified slicing trial."""
+    """(point count, resamples) for one verified slicing trial.
+
+    A slice whose saturation has Krull dimension above r is not a finite
+    set of points (the type is below the dimension) and counts 0, the
+    off-profile value of ``multidegree``.
+    """
     sliced, resamples = _sliced_by_verified_forms(J, n, rng)
-    rep = k_polynomial(irrelevant_saturation(sliced))
+    sat = irrelevant_saturation(sliced)
+    if quotient_dimension(sat) > J.ring.r:
+        return 0, resamples
+    rep = k_polynomial(sat)
     nu = tuple(max(t, 0) + 2 for t in rep.numerator.max_exponents())
     return series_coefficient(rep, nu), resamples
 

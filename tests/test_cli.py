@@ -197,29 +197,16 @@ def test_pair_budget_flag_reports_stats(capsys, monkeypatch):
     assert "pairs_remaining" in stats
 
 
-def test_pair_budget_env_variable(capsys, monkeypatch):
+@pytest.mark.parametrize("env", ["1", "abc"])
+def test_pair_budget_env_is_not_read(capsys, monkeypatch, env):
+    """--pair-budget is the only budget knob: MM_PAIR_BUDGET changes
+    nothing, whatever its value."""
     monkeypatch.chdir(TESTS_DIR)
-    monkeypatch.setenv("MM_PAIR_BUDGET", "1")
-    rc, out, _ = run_cli(
-        capsys, "hilbert", "--input", f"{INPUTS}/budget_env.json"
-    )
-    assert rc == 1
-    assert report_of(out)["error"]["type"] == "PairBudgetExceeded"
-
-
-def test_pair_budget_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.chdir(TESTS_DIR)
-    monkeypatch.setenv("MM_PAIR_BUDGET", "1")
-    rc, out, _ = run_cli(
-        capsys,
-        "hilbert",
-        "--input",
-        f"{INPUTS}/budget_override.json",
-        "--pair-budget",
-        "200000",
-    )
-    assert rc == 0
-    assert report_of(out)["result"]["dimension"] == 1
+    monkeypatch.setenv("MM_PAIR_BUDGET", env)
+    rc, out, err = run_cli(capsys, *dict(GOLDEN_CASES)["hilbert_diag"])
+    assert (rc, err) == (0, "")
+    golden = json.loads((GOLDEN_DIR / "hilbert_diag.json").read_text())
+    assert report_of(out) == golden
 
 
 def test_failed_check_exits_one(capsys, monkeypatch):
@@ -292,6 +279,19 @@ def test_slice_disagreement_fails_the_check(trials, capsys, monkeypatch):
     assert rep["failed_checks"] == ["slicing_matches_multidegree"]
     details = rep["checks"][0]["details"]
     assert details["matching_trials"] == 0 and details["trials"] == trials
+
+
+def test_slice_below_the_dimension_counts_zero(capsys, monkeypatch):
+    """The diagonal of P^1 x P^1 is a curve: its type-(0,0) slice is the
+    curve itself, not a finite set of points, and counts 0."""
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, err = run_cli(
+        capsys, "slice", "--input", f"{INPUTS}/diag.json", "--type", "0,0", "--trials", 2
+    )
+    assert (rc, err) == (0, "")
+    result = report_of(out)["result"]
+    assert result["algebraic_multidegree"] == 0
+    assert [t["point_count"] for t in result["trial_outcomes"]] == [0, 0]
 
 
 def test_multidegree_type_length_mismatch(capsys, monkeypatch):
@@ -373,33 +373,6 @@ def test_nonpositive_pair_budget_is_a_usage_error(capsys, budget):
     assert rc == 2
     assert out == ""
     assert err == "mm: --pair-budget must be positive\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["hilbert", "--input", f"{INPUTS}/diag.json"],
-        ["formula", "--ht2", "--d", "2", "--mu", "1,1,1"],
-    ],
-    ids=["hilbert", "formula"],
-)
-@pytest.mark.parametrize(
-    "env, message",
-    [
-        ("0", "MM_PAIR_BUDGET must be positive"),
-        ("-1", "MM_PAIR_BUDGET must be positive"),
-        ("abc", "MM_PAIR_BUDGET must be an integer, got 'abc'"),
-    ],
-)
-def test_bad_pair_budget_env_is_a_usage_error(capsys, monkeypatch, argv, env, message):
-    """Every command rejects a bad MM_PAIR_BUDGET before it runs, including
-    one that computes no Groebner basis."""
-    monkeypatch.chdir(TESTS_DIR)
-    monkeypatch.setenv("MM_PAIR_BUDGET", env)
-    rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2
-    assert out == ""
-    assert err == f"mm: {message}\n"
 
 
 def test_malformed_json_input(capsys, tmp_path):
@@ -493,6 +466,44 @@ def test_bad_shift_type(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "hilbert", "--input", path)
     assert rc == 2
     assert "shift" in err
+
+
+def test_shift_length_is_a_usage_error(capsys, tmp_path):
+    doc = {
+        "characteristic": 32003,
+        "blocks": [{"vars": ["x0", "x1"]}],
+        "ideal": ["x0"],
+        "shift": [1, 2],
+    }
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "hilbert", "--input", path)
+    assert rc == 2
+    assert out == ""
+    assert err == "mm: input: shift length must equal the number of blocks\n"
+
+
+@pytest.mark.parametrize("command", ["projdeg", "satfiber", "check-g"])
+@pytest.mark.parametrize(
+    "characteristic, variables, message",
+    [
+        (4, ["x0", "x1"], "characteristic must be prime, got 4"),
+        (32003, ["x0", "x0"], "variable names must be globally unique"),
+    ],
+    ids=["characteristic", "vars"],
+)
+def test_malformed_map_ring_is_a_usage_error(
+    capsys, tmp_path, command, characteristic, variables, message
+):
+    """A map input builds its ring like an ideal input: a bad ring is a
+    usage error, not a math failure."""
+    doc = {"characteristic": characteristic, "vars": variables, "map": ["x0", "x0"]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, command, "--input", path)
+    assert rc == 2
+    assert out == ""
+    assert err == f"mm: input: {message}\n"
 
 
 def test_unparseable_generator(capsys, tmp_path):

@@ -591,7 +591,7 @@ def test_explicit_pair_budget_validation():
 
 @pytest.mark.parametrize("env", ["1", "abc"])
 def test_library_ignores_pair_budget_env(monkeypatch, env):
-    """Only ``mm`` reads MM_PAIR_BUDGET; a library run uses the set budget."""
+    """Nothing reads MM_PAIR_BUDGET; a library run uses the set budget."""
     monkeypatch.setenv("MM_PAIR_BUDGET", env)
     gb._buchberger.cache_clear()
     assert len(groebner_basis(_budget_victim()).elements) >= 3

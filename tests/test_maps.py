@@ -311,6 +311,20 @@ def test_rees_check_holds_products_past_sixteen_bit_fields():
     assert rees_verdicts(F, (bad,)) == [False] * 3
 
 
+def test_rees_check_widens_for_the_map_degree():
+    """F = (x0^65536, x1^65536, x2^65536): the field width must hold
+    deg_x + delta*deg_y, not a fixed 16 bits nor deg_x + deg_y.  At 16-bit
+    fields x0^65536*x2 and x1^65537 pack to the same value, so the images
+    of x2*y0 - x1*y1 would cancel."""
+    F = RationalMapSpec.make(
+        CHAR, ("x0", "x1", "x2"), ("x0^65536", "x1^65536", "x2^65536")
+    )
+    graph = F.graph_ring()
+    _check_on_graph(F, [parse_polynomial("x1^65536*y0 - x0^65536*y1", graph)])
+    with pytest.raises(InvariantViolation):
+        _check_on_graph(F, [parse_polynomial("x2*y0 - x1*y1", graph)])
+
+
 HELD_BASIS_MAPS = dict(REES_MAPS, twisted_cubic=cubic_map)
 
 

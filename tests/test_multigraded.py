@@ -403,8 +403,8 @@ def test_slice_report_cremona_graph():
 
 def test_route_equivalence_on_small_corpus():
     for J, types in (
-        (DIAGONAL, [(1, 0), (0, 1)]),
-        (Ideal(R, ()), [(1, 1)]),
+        (DIAGONAL, [(1, 0), (0, 1), (0, 0)]),
+        (Ideal(R, ()), [(1, 1), (1, 0)]),
         (mk(R, "x0*y0", "x0*y1"), [(0, 1)]),
     ):
         for n in types:
