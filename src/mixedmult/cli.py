@@ -128,6 +128,8 @@ def load_map(data: dict) -> tuple[RationalMapSpec, PresentationMatrix | None]:
         if not isinstance(m, dict):
             raise UsageError("input: matrix must be an object")
         kind = _require(m, "kind", str, "matrix")
+        if kind not in ("hilbert-burch", "alternating"):
+            raise UsageError(f"matrix: unknown kind {kind!r}")
         rows_raw = _require(m, "entries", list, "matrix")
         rows = tuple(
             tuple(parse_polynomial(str(e), ring) for e in row)
@@ -552,9 +554,11 @@ def run(argv=None) -> int:
                 raise UsageError(f"malformed JSON in {args.input}: {e}") from e
             if not isinstance(data, dict):
                 raise UsageError("input must be a JSON object")
-        # checked before any command runs, so a bad --pair-budget is a usage
-        # error for every command, not a math failure inside the first
-        # Groebner basis
+        # checked before any command runs, so a bad --trials or --pair-budget
+        # is a usage error for every command, not a math failure inside the
+        # first slicing trial or Groebner basis
+        if args.trials < 1:
+            raise UsageError("--trials must be positive")
         previous_budget = set_pair_budget(_pair_budget(args.pair_budget))
 
         report = {

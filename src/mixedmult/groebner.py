@@ -2,12 +2,13 @@
 
 The S-pair queue is pruned with the Gebauer-Moller update (JSC 1988): each
 new element drops old pairs by the chain criterion, then makes one pair per
-minimal distinct lcm with it, in one pass over those lcms sorted by degree,
-and none where the product criterion applies.  Pairs are selected by
-(sugar, packed lcm key), smallest lcm first, so runs are deterministic;
-the final basis is inter-reduced and monic, hence the unique reduced
-Groebner basis of the ideal for the given order.  The packed key below is
-the library's only comparison of monomials under a term order.
+minimal distinct lcm with it, in one pass over those lcms in ascending
+packed value, and none where the product criterion applies.  The queue is
+a heap of (sugar, packed lcm key) entries, popped smallest lcm first, so
+runs are deterministic; the final basis is inter-reduced and monic, hence
+the unique reduced Groebner basis of the ideal for the given order.  The
+packed key below is the library's only comparison of monomials under a
+term order.
 Elimination is one run in a block elimination order.  Intersection, colon
 and saturation append helper variables, eliminate them and drop them
 before returning: intersection (and the colon built on it) uses one
@@ -44,6 +45,15 @@ Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
   ``_buchberger`` packs its input once, builds monic basis elements
   straight from packed remainders and unpacks only the final basis;
   ``normal_form`` packs its basis on each call and restarts the same way.
+* Pair update.  Leads are plain packed values, and so are their lcms, built
+  field-wise on one int (SWAR): (a | GUARD) - b sets the guard bit of every
+  field where a's is at least b's, which selects the maximum per field;
+  each block's degree field is then the sum of its maxima, by one
+  multiply.  Two leads are coprime iff their lcm is their sum.  An lcm's
+  degree field can reach 2^(b-1), so divisibility of or by an lcm reads
+  the guard bits of the variable fields only (VGUARD): the lowest field
+  where a divisor candidate exceeds the lcm is always a variable field.
+  Exponent tuples are unpacked only for the final basis.
 
 Every ideal returned by elimination, intersection, colon or saturation
 holds its reduced degrevlex basis, and ``groebner_basis`` returns that
@@ -71,10 +81,8 @@ from .rings import (
     _grevlex_neg_key,
     degrevlex_order,
     elimination_order,
-    mono_coprime,
     mono_div,
     mono_divides,
-    mono_lcm,
 )
 
 DEFAULT_PAIR_BUDGET = 200000
@@ -218,8 +226,10 @@ class _Packing:
     """Monomials of one order packed at one field width (see the module
     docstring): ``pack`` takes an exponent tuple to its heap key,
     ``unpack`` a heap key back, ``degree`` a plain packed value to its
-    total degree; ``flip`` turns a key into the plain value and back,
-    ``guard`` holds every guard bit, ``cap`` the bits of exponents above
+    total degree and ``lcm`` two guard-free plain values to the plain value
+    of their lcm; ``flip`` turns a key into the plain value and back,
+    ``guard`` holds every guard bit, ``vguard`` the guard bits of the
+    variable fields only, ``cap`` the bits of exponents above
     ``MAX_EXPONENT`` (0 where no field can hold one) and ``one`` is the key
     of the monomial 1.
 
@@ -228,7 +238,10 @@ class _Packing:
     away from the complemented degree field of its block, so a key is
     ``flip`` plus one weighted sum of the exponents."""
 
-    __slots__ = ("width", "flip", "guard", "cap", "one", "pack", "unpack", "degree")
+    __slots__ = (
+        "width", "flip", "guard", "vguard", "cap", "one",
+        "pack", "unpack", "degree", "lcm",
+    )
 
     def __init__(self, order: TermOrder, width: int):
         n = order.nvars
@@ -242,22 +255,33 @@ class _Packing:
         shifts = [0] * n  # bit offset of each variable's field, by index
         weights = [0] * n  # what one unit of each exponent adds to a key
         deg_shifts: list[int] = []
+        # per block: its variable fields, the multiplier sum(2^(j·b)) over
+        # 1 <= j <= k that adds its k variable fields into its degree field,
+        # and that degree field
+        sums: list[tuple[int, int, int]] = []
         pos = 0
         for block in blocks:
             top = pos + len(block) * width
+            fields = 0
             for i in block:
                 shifts[i] = pos
                 weights[i] = (1 << pos) - (1 << top)
+                fields |= ones << pos
                 pos += width
             deg_shifts.append(top)
+            mult = sum(1 << (j * width) for j in range(1, len(block) + 1))
+            sums.append((fields, mult, ones << top))
             pos += width
         self.width = width
         self.flip = flip = sum(ones << s for s in deg_shifts)
-        self.guard = sum(1 << (s + width - 1) for s in range(0, pos, width))
+        self.guard = guard = sum(1 << (s + width - 1) for s in range(0, pos, width))
+        self.vguard = vguard = sum(1 << (s + width - 1) for s in shifts)
         self.cap = (
             sum((ones ^ MAX_EXPONENT) << s for s in shifts) if width > 32 else 0
         )
         self.one = flip
+        vmask = sum(fields for fields, _, _ in sums)
+        guard_shift = width - 1
 
         def pack(e):
             return sum(map(mul, e, weights), flip)
@@ -266,23 +290,49 @@ class _Packing:
             m = k ^ flip
             return tuple([(m >> s) & ones for s in shifts])
 
-        # ``_reduce`` reads one degree per reduction step: a reader per
-        # block count is faster there than a sum over the degree fields
+        # ``_reduce`` reads one degree per reduction step and the pair update
+        # one lcm per basis element: a reader per block count is faster there
+        # than a loop over the blocks.  In ``lcm``, (a | guard) - b holds
+        # a_f - b_f + 2^(b-1) in every field f, with no borrow between fields,
+        # so its guard bit is set where a_f >= b_f; ``sel`` keeps those bits
+        # of the variable fields, sel - (sel >> (b-1)) spreads each over the
+        # bits below it, and that mask selects a there, b elsewhere.  Each
+        # block's degree is then the sum of its maxima: no partial sum of a
+        # block's fields reaches 2^b, so the multiply carries between none.
         if len(blocks) == 1:
             (top,) = deg_shifts
+            ((_, mult, deg_field),) = sums
 
             def degree(m):
                 return m >> top
 
+            def lcm(a, b):
+                sel = ((a | guard) - b) & vguard
+                v = (b & vmask) ^ ((a ^ b) & (sel - (sel >> guard_shift)))
+                return v | (v * mult & deg_field)
+
         else:
             low, top = deg_shifts
+            (_, low_mult, low_field), (high_vars, high_mult, high_field) = sums
 
             def degree(m):
                 return (m >> top) + ((m >> low) & ones)
 
+            def lcm(a, b):
+                sel = ((a | guard) - b) & vguard
+                v = (b & vmask) ^ ((a ^ b) & (sel - (sel >> guard_shift)))
+                # the low block's fields are the lowest, so only the high
+                # block needs masking before its multiply
+                return (
+                    v
+                    | (v * low_mult & low_field)
+                    | ((v & high_vars) * high_mult & high_field)
+                )
+
         self.pack = pack
         self.unpack = unpack
         self.degree = degree
+        self.lcm = lcm
 
     def entry(self, lead: tuple[int, ...], terms) -> tuple[int, tuple]:
         """Reducer of a monic polynomial given by its (exps, coefficient)
@@ -423,6 +473,7 @@ def _packed_run(
     input is its smallest key."""
     p = ring.characteristic
     pack, unpack, flip = pk.pack, pk.unpack, pk.flip
+    degree, lcm, vguard = pk.degree, pk.lcm, pk.vguard
     inputs = []
     for g in gens:
         work = {pack(e): c for e, c in g.terms}
@@ -433,17 +484,16 @@ def _packed_run(
     inputs.sort(key=lambda t: t[:2])
     entries: list = []  # packed (lead, tail) per basis element
     sugars: list[int] = []
-    leads: list[tuple[int, ...]] = []
-    # (sugar, -lcm key, i, j, lcm).  The fields of the lcm of two guard-free
-    # leads are below 2^(b-1) and its degree fields below 2^b, so no
-    # complemented field borrows and the packed lcm key is exact: smallest
-    # -key first is smallest lcm first.
+    # A heap of (sugar, -lcm key, i, j, lcm), lcm a plain packed value.  The
+    # fields of the lcm of two guard-free leads are below 2^(b-1) and its
+    # degree fields below 2^b, so no complemented field borrows and the
+    # packed lcm key is exact: smallest -key first is smallest lcm first.
     pairs: list = []
     processed = 0
 
-    def add_element(kl: int, entry: tuple, sugar: int):
+    def add_element(entry: tuple, sugar: int):
         """Gebauer-Moller update of the pair set, then append the reducer
-        ``entry`` whose lead has key ``kl``.
+        ``entry``, all on plain packed values.
 
         With t the new index and L_i = lcm(lead_i, lead_t):
         * an old pair (i, j) goes when lead_t divides its lcm and that lcm
@@ -452,52 +502,63 @@ def _packed_run(
           kept, and none when some candidate with that L has leads coprime
           to lead_t (product criterion);
         * an L goes when another L properly divides it (criterion M), also
-          when that other L makes no pair.  A proper divisor has lower
-          degree, so walking the distinct L by degree meets it first, and
+          when that other L makes no pair.  A proper divisor m of L is a
+          smaller plain value, since L - m has no negative field, so
+          walking the distinct L in ascending value meets it first, and
           testing the minimal L kept so far suffices: every L that divides
           a later one lies over a minimal one.
 
+        Leads are coprime iff L_i = lead_i + lead_t: the maximum of two
+        fields is their sum iff their minimum is 0.  m divides an lcm L iff
+        (L - m) & vguard == 0, as in ``_reduce``, but on the variable
+        fields' guard bits only: an lcm's degree field may reach 2^(b-1),
+        so its own guard bit says nothing, and the lowest field where m
+        exceeds L is always a variable field, which no borrow has reached.
         The pairs kept are those of the pairwise candidate scan that the
-        tuple oracle ``tests/helpers.py::tuple_buchberger`` keeps.
+        tuple oracle ``tests/helpers.py::tuple_buchberger`` keeps; the
+        queue is a heap again once the new pairs are in.
         """
-        lead_t = unpack(kl)
+        lead_t = entry[0]
         t = len(entries)
-        lcms = [mono_lcm(lead, lead_t) for lead in leads]
-        pairs[:] = [
-            pair
-            for pair in pairs
-            if pair[4] in (lcms[pair[2]], lcms[pair[3]])
-            or not mono_divides(lead_t, pair[4])
-        ]
+        lcms = []
         first: dict = {}  # L -> first index with it, None after a coprime one
-        for i, li in enumerate(lcms):
-            if mono_coprime(leads[i], lead_t):
+        for i, (lead, _) in enumerate(entries):
+            li = lcm(lead, lead_t)
+            lcms.append(li)
+            if li == lead + lead_t:
                 first[li] = None
             else:
                 first.setdefault(li, i)
+        pairs[:] = [
+            pair
+            for pair in pairs
+            if (pair[4] - lead_t) & vguard or pair[4] in (lcms[pair[2]], lcms[pair[3]])
+        ]
         minimal_lcms: list = []
-        for li in sorted(first, key=sum):
-            if any(mono_divides(m, li) for m in minimal_lcms):
-                continue
-            minimal_lcms.append(li)
-            i = first[li]
-            if i is not None:
-                s = max(sugars[i] - sum(leads[i]), sugar - sum(lead_t)) + sum(li)
-                pairs.append((s, -pack(li), i, t, li))
+        excess_t = sugar - degree(lead_t)
+        for li in sorted(first):
+            for m in minimal_lcms:
+                if not (li - m) & vguard:
+                    break
+            else:
+                minimal_lcms.append(li)
+                i = first[li]
+                if i is not None:
+                    s = max(sugars[i] - degree(entries[i][0]), excess_t) + degree(li)
+                    pairs.append((s, -(li ^ flip), i, t, li))
+        heapify(pairs)
         entries.append(entry)
         sugars.append(sugar)
-        leads.append(lead_t)
 
     # _reduce is linear, so reducing an input unscaled gives the same monic
     # remainder as reducing it monic
     for _, _, work, sugar in inputs:
         red, sg = _reduce(work, entries, pk, p, sugar=sugar, sugars=sugars)
         if red:
-            add_element(*pk.monic_entry(red, p), sg)
+            add_element(pk.monic_entry(red, p)[1], sg)
 
     while pairs:
-        best = min(pairs)
-        pairs.remove(best)
+        best = heappop(pairs)
         processed += 1
         if processed > budget:
             raise PairBudgetExceeded(
@@ -525,7 +586,7 @@ def _packed_run(
             kl, entry = pk.monic_entry(red, p)
             if kl == pk.one:
                 return _unit_basis(ring, order)
-            add_element(kl, entry, sg)
+            add_element(entry, sg)
 
     # Inter-reduce to the unique reduced basis; ascending key is descending
     # in the order, and leads are distinct.
@@ -539,6 +600,7 @@ def _packed_run(
         if all((lead_i - entries[j][0]) & guard for j in minimal):
             minimal.append(i)
     elements = []
+    leading_exps = []
     for i in minimal:
         others = [entries[j] for j in minimal if j != i]
         kl = entries[i][0] ^ flip
@@ -547,12 +609,14 @@ def _packed_run(
             raise ExponentOverflow("exponent exceeds cap")
         # the remainder comes largest term first in the run's order, which
         # is degrevlex only for a degrevlex run
-        terms = [(leads[i], 1)]
+        lead = unpack(kl)
+        leading_exps.append(lead)
+        terms = [(lead, 1)]
         terms.extend((unpack(k), c) for k, c in red.items())
         if order.kind != "degrevlex":
             terms.sort(key=lambda t: _grevlex_neg_key(t[0]))
         elements.append(Polynomial._canonical(ring, tuple(terms)))
-    return GroebnerBasis(ring, order, elements, [leads[i] for i in minimal])
+    return GroebnerBasis(ring, order, elements, leading_exps)
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:

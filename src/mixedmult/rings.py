@@ -15,7 +15,7 @@ packed key of ``groebner._Packing`` makes every such comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, mul, sub
+from operator import add, le, sub
 from typing import Iterable, Iterator, Union
 
 from .errors import ExponentOverflow, ParseError
@@ -195,15 +195,6 @@ def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """a / b, assuming b | a."""
     return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """No variable divides both (exponents are nonnegative)."""
-    return not any(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------

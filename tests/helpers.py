@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, product
-from operator import add
+from operator import add, mul
 
 from mixedmult import (
     GroebnerBasis,
@@ -36,16 +36,19 @@ from mixedmult.maps import (
     ideal_height,
 )
 from mixedmult.multigraded import block_ideal
-from mixedmult.rings import (
-    TermOrder,
-    degrevlex_order,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-)
+from mixedmult.rings import TermOrder, degrevlex_order, mono_div, mono_divides
 
 CHAR = 32003
+
+
+def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The lcm of two exponent tuples, for the tuple oracles."""
+    return tuple(map(max, a, b))
+
+
+def mono_coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """No variable divides both (exponents are nonnegative)."""
+    return not any(map(mul, a, b))
 
 
 def ring_blocks(*blocks) -> RingSpec:

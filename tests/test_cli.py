@@ -375,6 +375,23 @@ def test_nonpositive_pair_budget_is_a_usage_error(capsys, budget):
     assert err == "mm: --pair-budget must be positive\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slice", "--input", f"{INPUTS}/diag.json", "--type", "1,0"),
+        ("projdeg", "--input", f"{INPUTS}/cremona.json", "--method", "slicing"),
+    ],
+    ids=["slice", "projdeg"],
+)
+def test_nonpositive_trials_is_a_usage_error(capsys, monkeypatch, argv, trials):
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, err = run_cli(capsys, *argv, "--trials", trials)
+    assert rc == 2
+    assert out == ""
+    assert err == "mm: --trials must be positive\n"
+
+
 def test_malformed_json_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -504,6 +521,18 @@ def test_malformed_map_ring_is_a_usage_error(
     assert rc == 2
     assert out == ""
     assert err == f"mm: input: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["projdeg", "check-g"])
+def test_unknown_matrix_kind_is_a_usage_error(capsys, tmp_path, command):
+    doc = json.loads((GOLDEN_DIR / "inputs" / "cremona.json").read_text())
+    doc["matrix"]["kind"] = "weird"
+    path = tmp_path / "weird.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, command, "--input", path)
+    assert rc == 2
+    assert out == ""
+    assert err == "mm: matrix: unknown kind 'weird'\n"
 
 
 def test_unparseable_generator(capsys, tmp_path):

@@ -21,6 +21,8 @@ from mixedmult.rings import (
 
 from helpers import (
     DEFAULT_PAIR_BUDGET,
+    mono_coprime,
+    mono_lcm,
     neg_key,
     pair_budget_exceeded,
     pp,
@@ -151,6 +153,70 @@ def test_packing_is_additive_and_round_trips(case, data):
     assert kt - ka == ke - wide.one
 
 
+@st.composite
+def full_field_monomials(draw):
+    """(packing, monomials): a packing at any width and 1-6 guard-free
+    monomials whose fields reach 2^(b-1) - 1, the most a guard-free field
+    holds: each block's degree is at most that, and one variable often
+    takes all of it."""
+    order = draw(packed_orders())
+    width = draw(st.sampled_from(WIDTHS))
+    top = 2 ** (width - 1) - 1
+    n = order.nvars
+    if order.kind == "degrevlex":
+        blocks = [range(n)]
+    else:
+        blocks = [[i for i in range(n) if i not in order.drop], order.drop]
+    monos = []
+    for _ in range(draw(st.integers(1, 6))):
+        e = [0] * n
+        for block in blocks:
+            room = top
+            for i in block:
+                e[i] = draw(
+                    st.one_of(
+                        st.just(0),
+                        st.integers(0, min(3, room)),
+                        st.just(room),
+                        st.integers(0, room),
+                    )
+                )
+                room -= e[i]
+        monos.append(tuple(e))
+    return gb._Packing(order, width), monos
+
+
+@given(case=full_field_monomials())
+def test_swar_lcm_and_coprimality_match_tuple_helpers(case):
+    """``lcm`` of two plain packed values is the plain value of the tuple
+    lcm, degree fields included, though they may pass the guard bit; the
+    leads are coprime iff that lcm is their sum."""
+    pk, monos = case
+    plain = [(a, pk.pack(a) ^ pk.flip) for a in monos]
+    for a, ma in plain:
+        for b, mb in plain:
+            lcm = pk.lcm(ma, mb)
+            want = mono_lcm(a, b)
+            assert pk.unpack(lcm ^ pk.flip) == want
+            assert lcm == pk.pack(want) ^ pk.flip
+            assert pk.degree(lcm) == sum(want)
+            assert (lcm == ma + mb) == mono_coprime(a, b)
+
+
+@given(case=full_field_monomials())
+def test_variable_guard_test_on_lcms_is_mono_divides(case):
+    """On lcms, whose degree fields may set their guard bits, the guard
+    bits of the variable fields of L - m are clear iff m divides L; the
+    monomials themselves are among the lcms, as leads in the chain
+    criterion."""
+    pk, monos = case
+    plain = [(a, pk.pack(a) ^ pk.flip) for a in monos]
+    lcms = {mono_lcm(a, b): pk.lcm(ma, mb) for a, ma in plain for b, mb in plain}
+    for m, lm in lcms.items():
+        for e, le in lcms.items():
+            assert (not (le - lm) & pk.vguard) == mono_divides(m, e)
+
+
 # ---------------------------------------------------------------------------
 # Whole runs
 
@@ -235,6 +301,23 @@ def test_budget_failure_matches_tuple_oracle(blocks, exprs, drop):
     gens = frozenset(pp(ring, e) for e in exprs)
     order = elimination_order(ring, drop) if drop else degrevlex_order(ring)
     for budget in (1, 5, 10):
+        got = outcome(gb._buchberger.__wrapped__, ring, gens, order, budget)
+        assert got[0] == "budget"
+        assert got == outcome(tuple_buchberger, ring, gens, order, budget)
+
+
+def test_high_degree_lcm_pairs_match_tuple_oracle():
+    """The first two leads x^20000*y and x*y^20000 fit 16-bit fields, but
+    their lcm has degree 40000 >= 2^15, so its degree field sets its guard
+    bit.  The third input reduces to the lead x*y^2, which divides that
+    lcm, so the chain criterion drops the pair of the first two, as in the
+    oracle, only if the divisibility test reads no degree field's guard."""
+    ring = ring_blocks(("x", "y", "z", "w"))
+    gens = frozenset(
+        pp(ring, e) for e in ("x^20000*y + z", "x*y^20000 + w", "x^20000*y^2 + x*y^2")
+    )
+    order = degrevlex_order(ring)
+    for budget in (1, 2, 3, 5, 10, 40):
         got = outcome(gb._buchberger.__wrapped__, ring, gens, order, budget)
         assert got[0] == "budget"
         assert got == outcome(tuple_buchberger, ring, gens, order, budget)

@@ -23,15 +23,15 @@ from mixedmult.rings import (
     TermOrder,
     _grevlex_neg_key,
     _is_prime,
-    mono_coprime,
     mono_div,
     mono_divides,
-    mono_lcm,
 )
 
 from helpers import (
     CHAR,
     mk,
+    mono_coprime,
+    mono_lcm,
     neg_key,
     p1xp1,
     pp,
