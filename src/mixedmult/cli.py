@@ -363,12 +363,12 @@ def _cmd_formula(_, args):
         if args.mu is None:
             raise UsageError("--ht2 requires --mu")
         mu = _parse_int_vector(args.mu, "--mu")
-        vec = formula_perfect_ht2(args.d, mu)
+        formula, params = formula_perfect_ht2, (args.d, mu)
         result = {"kind": "perfect-ht2", "d": args.d, "mu": list(mu)}
     else:
         if args.n is None or args.D is None or args.delta is None:
             raise UsageError("--ht3 requires --n, --D and --delta")
-        vec = formula_gorenstein_ht3(args.d, args.n, args.D, args.delta)
+        formula, params = formula_gorenstein_ht3, (args.d, args.n, args.D, args.delta)
         result = {
             "kind": "gorenstein-ht3",
             "d": args.d,
@@ -376,6 +376,11 @@ def _cmd_formula(_, args):
             "D": args.D,
             "delta": args.delta,
         }
+    # formula reads no input, so every value the formulas reject is a flag's
+    try:
+        vec = formula(*params)
+    except ValueError as e:
+        raise UsageError(f"formula: {e}") from e
     result["degrees"] = list(vec.degrees)
     return result, []
 
@@ -383,6 +388,8 @@ def _cmd_formula(_, args):
 def _cmd_satfiber(loaded, args):
     F, _ = loaded
     q_max = args.q_max if args.q_max is not None else F.d + 2
+    if q_max < F.d + 2:
+        raise UsageError(f"--q-max must be at least d + 2 = {F.d + 2}")
     chk = satfiber_d0_check(F, q_max)
     result = {
         "q_max": q_max,
@@ -522,14 +529,6 @@ def _digest(input_bytes: bytes | None, args: argparse.Namespace) -> str:
     return h.hexdigest()
 
 
-def _pair_budget(flag: int | None) -> int | None:
-    """The run's S-pair budget: --pair-budget, else None (the library
-    default)."""
-    if flag is not None and flag <= 0:
-        raise UsageError("--pair-budget must be positive")
-    return flag
-
-
 def run(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -554,12 +553,17 @@ def run(argv=None) -> int:
                 raise UsageError(f"malformed JSON in {args.input}: {e}") from e
             if not isinstance(data, dict):
                 raise UsageError("input must be a JSON object")
-        # checked before any command runs, so a bad --trials or --pair-budget
-        # is a usage error for every command, not a math failure inside the
-        # first slicing trial or Groebner basis
-        if args.trials < 1:
-            raise UsageError("--trials must be positive")
-        previous_budget = set_pair_budget(_pair_budget(args.pair_budget))
+        # checked before any command runs, so a bad count is a usage error
+        # for every command, not a math failure inside the first slicing trial
+        # or Groebner basis, nor a vacuous G condition
+        for flag, value in (
+            ("--trials", args.trials),
+            ("--pair-budget", args.pair_budget),
+            ("--s", getattr(args, "s", None)),
+        ):
+            if value is not None and value < 1:
+                raise UsageError(f"{flag} must be positive")
+        previous_budget = set_pair_budget(args.pair_budget)
 
         report = {
             "schema_version": SCHEMA_VERSION,

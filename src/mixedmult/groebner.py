@@ -41,10 +41,11 @@ Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
 * Width.  A run starts at the smallest of 16, 32, 64, ... bits whose
   fields hold the largest input degree.  Sums of two guard-free fields
   never carry into the next field, so an overflow shows as a guard bit of
-  the first popped term it reaches, and the run restarts at double width.
-  ``_buchberger`` packs its input once, builds monic basis elements
-  straight from packed remainders and unpacks only the final basis;
-  ``normal_form`` packs its basis on each call and restarts the same way.
+  the first popped term it reaches, and the run restarts at double width
+  (``_widening``, the one restart loop).  ``_buchberger`` packs its input
+  once, builds monic basis elements straight from packed remainders and
+  unpacks only the final basis; ``normal_form`` packs its basis on each
+  call.
 * Pair update.  Leads are plain packed values, and so are their lcms, built
   field-wise on one int (SWAR): (a | GUARD) - b sets the guard bit of every
   field where a's is at least b's, which selects the maximum per field;
@@ -220,6 +221,17 @@ def _width_for(degree: int) -> int:
     while degree >> (width - 1):
         width *= 2
     return width
+
+
+def _widening(order: TermOrder, polys, run):
+    """``run(_Packing(order, width))``, from the smallest width holding the
+    largest degree in polys, doubling the width while ``run`` overflows."""
+    width = _width_for(max(g.total_degree() for g in polys))
+    while True:
+        try:
+            return run(_Packing(order, width))
+        except _FieldOverflow:
+            width *= 2
 
 
 class _Packing:
@@ -451,12 +463,7 @@ def _buchberger(
         return GroebnerBasis(ring, order, (), ())
     if any(g.is_constant() for g in gens):
         return _unit_basis(ring, order)
-    width = _width_for(max(g.total_degree() for g in gens))
-    while True:
-        try:
-            return _packed_run(ring, order, budget, gens, _Packing(order, width))
-        except _FieldOverflow:
-            width *= 2
+    return _widening(order, gens, lambda pk: _packed_run(ring, order, budget, gens, pk))
 
 
 def _unit_basis(ring: RingSpec, order: TermOrder) -> GroebnerBasis:
@@ -628,20 +635,16 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         raise ValueError("polynomial and basis over different rings")
     if p.is_zero() or not G.elements:
         return p
-    width = _width_for(max(g.total_degree() for g in (p, *G.elements)))
-    while True:
-        pk = _Packing(G.order, width)
+
+    def run(pk: _Packing) -> Polynomial:
         entries = [pk.entry(lead, g.terms) for g, lead in zip(G.elements, G.leading_exps)]
-        pack = pk.pack
-        try:
-            red, _ = _reduce(
-                {pack(e): c for e, c in p.terms}, entries, pk, p.ring.characteristic
-            )
-        except _FieldOverflow:
-            width *= 2
-            continue
-        unpack = pk.unpack
+        pack, unpack = pk.pack, pk.unpack
+        red, _ = _reduce(
+            {pack(e): c for e, c in p.terms}, entries, pk, p.ring.characteristic
+        )
         return Polynomial(p.ring, ((unpack(k), c) for k, c in red.items()))
+
+    return _widening(G.order, (p, *G.elements), run)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,8 @@ def _knum(
     gens: tuple[tuple[int, ...], ...], ring: RingSpec, rule: str
 ) -> dict[tuple[int, ...], int]:
     """Numerator of the series of B/I, I = (gens) minimal, as a dict over
-    multidegrees, by the recursion of ``_recurse``.
+    multidegrees, by the recursion of ``_recurse`` with the pivot rule
+    ``rule``, one of ``PIVOT_RULES`` (``k_polynomial`` checks it).
 
     A small lcm box runs the recursion on one Python int: the numerator
     evaluated at t_i = 2^(W * stride_i) (Kronecker substitution).  Three
@@ -296,8 +297,6 @@ def _knum(
     Beyond PACK_BITS packed bits (high degrees, many generators) the same
     recursion runs on dicts, whose cost follows the terms instead.
     """
-    if rule not in PIVOT_RULES:
-        raise ValueError(f"unknown pivot rule {rule!r}")
     if not gens:
         return {(0,) * ring.r: 1}
     width = len(gens) + 2

@@ -33,22 +33,6 @@ from .multigraded import irrelevant_saturation, random_block_form, slice_degree
 from .prng import Prng
 from .rings import Polynomial, RingSpec, degrevlex_order, parse_polynomial
 
-_Y_BASES = ("y", "u", "v", "z", "w")
-
-
-def _fresh_names(base_candidates, count: int, taken: set[str]) -> tuple[str, ...]:
-    for base in base_candidates:
-        names = tuple(f"{base}{i}" for i in range(count))
-        if not taken.intersection(names):
-            return names
-    k = 0
-    while True:
-        names = tuple(f"yy{k}_{i}" for i in range(count))
-        if not taken.intersection(names):
-            return names
-        k += 1
-
-
 @dataclass(frozen=True)
 class RationalMapSpec:
     """A rational map P^d -> P^n, d = #source_vars - 1, n = #generators - 1."""
@@ -99,10 +83,6 @@ class RationalMapSpec:
         return self.source_ring.variables
 
     @property
-    def target_count(self) -> int:
-        return len(self.generators)
-
-    @property
     def delta(self) -> int:
         return self._delta
 
@@ -115,15 +95,13 @@ class RationalMapSpec:
         return len(self.generators) - 1
 
     def target_names(self) -> tuple[str, ...]:
-        return _fresh_names(
-            _Y_BASES, len(self.generators), set(self.source_vars)
-        )
+        return self.graph_ring().blocks[-1]
 
     def graph_ring(self) -> RingSpec:
-        return RingSpec(
-            self.source_ring.characteristic,
-            (self.source_vars, self.target_names()),
-        )
+        """The ring of P^d x P^n: the source variables, then one target
+        variable per form, named as ``RingSpec.extended`` names new
+        variables from the base ``y``."""
+        return self.source_ring.extended("y", len(self.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +178,7 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
     result runs no second Buchberger.
     """
     graph = F.graph_ring()
-    ys = F.target_names()
+    ys = graph.blocks[-1]
     work = graph.extended("t")
     t_poly = Polynomial.variable(work, work.variables[-1])
     work_gens = [
@@ -257,9 +235,7 @@ def projective_degrees(
             raise ValueError("formula method needs a presentation matrix")
         if matrix.kind == "hilbert-burch":
             return formula_perfect_ht2(d, matrix.column_degrees)
-        return formula_gorenstein_ht3(
-            d, len(F.generators) - 1, matrix.entry_degree, F.delta
-        )
+        return formula_gorenstein_ht3(d, F.n, matrix.entry_degree, F.delta)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -706,9 +682,7 @@ def satfiber_d0_check(F: RationalMapSpec, q_max: int) -> SatFiberCheck:
     if q_max < d + 2:
         raise ValueError(f"q_max must be at least d + 2 = {d + 2}")
     table = satfiber_dims(F, q_max)
-    diffs = list(table.dims)
-    for _ in range(d):
-        diffs = _differences(diffs)
+    diffs = table.difference_profile[d - 1] if d else table.dims
     window = diffs[-min(len(diffs), (q_max + 1) // 2):]
     stabilized = len(set(window)) == 1
     inferred = window[-1]

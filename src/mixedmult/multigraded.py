@@ -239,11 +239,6 @@ class SliceReport:
     point_count: int | None
     agreement: int
 
-    def verified_counts(self) -> list[int]:
-        return [
-            t.point_count for t in self.trial_outcomes if t.verified
-        ]
-
     def as_dict(self) -> dict:
         return {
             "type_vector": list(self.type_vector),

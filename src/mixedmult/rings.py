@@ -120,20 +120,26 @@ class RingSpec:
         return (0,) * self.nvars
 
     def extended(self, extra: str, count: int = 1) -> "RingSpec":
-        """Same ring with one degree-irrelevant block of ``count`` helpers appended.
+        """Same ring with one block of ``count`` new variables appended.
 
-        The helpers are the first ``count`` of ``extra``, ``extra0``,
-        ``extra1``, ... that are not already variables of the ring.
+        One new variable is named ``extra`` when that name is free.
+        Otherwise, and for several, the new variables are the first
+        ``count`` of ``extra0``, ``extra1``, ... that are not already
+        variables of the ring.
         """
-        # at most nvars candidates clash, so nvars + count + 1 of them suffice
-        names = [extra] + [f"{extra}{k}" for k in range(self.nvars + count)]
-        fresh = tuple(n for n in names if n not in self._index)[:count]
+        if count == 1 and extra not in self._index:
+            fresh = (extra,)
+        else:
+            # at most nvars candidates clash, so nvars + count of them suffice
+            names = (f"{extra}{k}" for k in range(self.nvars + count))
+            fresh = tuple(n for n in names if n not in self._index)[:count]
         return RingSpec(self.characteristic, self.blocks + (fresh,))
 
 
 # ---------------------------------------------------------------------------
 # Term orders
 
+@dataclass(frozen=True, slots=True)
 class TermOrder:
     """Global multiplicative monomial order, as a description: the packed
     key of ``groebner._Packing`` compares monomials under it.
@@ -142,37 +148,25 @@ class TermOrder:
     earlier declared variables largest.  kind "elim": block elimination
     order, degrevlex on the drop variables first, ties broken by degrevlex
     on the kept variables; every monomial involving a drop variable beats
-    every monomial free of them.
+    every monomial free of them.  ``drop`` is kept as a sorted tuple of
+    distinct indices.
     """
 
-    __slots__ = ("kind", "nvars", "drop")
+    kind: str
+    nvars: int
+    drop: tuple[int, ...] = ()
 
-    def __init__(self, kind: str, nvars: int, drop: Iterable[int] = ()):
-        if kind not in ("degrevlex", "elim"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-        self.nvars = nvars
-        self.drop = tuple(sorted(set(drop)))
-        if kind == "degrevlex" and self.drop:
+    def __post_init__(self):
+        if self.kind not in ("degrevlex", "elim"):
+            raise ValueError(f"unknown order kind {self.kind!r}")
+        drop = tuple(sorted(set(self.drop)))
+        object.__setattr__(self, "drop", drop)
+        if self.kind == "degrevlex" and drop:
             raise ValueError("degrevlex takes no drop set")
-        if kind == "elim" and not self.drop:
+        if self.kind == "elim" and not drop:
             raise ValueError("elimination order needs a nonempty drop set")
-        if any(i < 0 or i >= nvars for i in self.drop):
+        if any(i < 0 or i >= self.nvars for i in drop):
             raise ValueError("drop index out of range")
-
-    def signature(self):
-        return (self.kind, self.nvars, self.drop)
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.signature() == other.signature()
-
-    def __hash__(self):
-        return hash(self.signature())
-
-    def __repr__(self):
-        if self.kind == "degrevlex":
-            return "TermOrder(degrevlex)"
-        return f"TermOrder(elim, drop={self.drop})"
 
 
 def degrevlex_order(ring: RingSpec) -> TermOrder:

@@ -392,6 +392,41 @@ def test_nonpositive_trials_is_a_usage_error(capsys, monkeypatch, argv, trials):
     assert err == "mm: --trials must be positive\n"
 
 
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_nonpositive_s_is_a_usage_error(capsys, monkeypatch, s):
+    """An s below 1 makes G_s vacuous: rejected, not reported as holding."""
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, err = run_cli(
+        capsys, "check-g", "--input", f"{INPUTS}/cremona.json", "--s", s
+    )
+    assert (rc, out, err) == (2, "", "mm: --s must be positive\n")
+
+
+@pytest.mark.parametrize("q_max", ["-3", "0", "3"])
+def test_satfiber_q_max_below_d_plus_2_is_a_usage_error(capsys, monkeypatch, q_max):
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, err = run_cli(
+        capsys, "satfiber", "--input", f"{INPUTS}/cremona.json", "--q-max", q_max
+    )
+    assert (rc, out, err) == (2, "", "mm: --q-max must be at least d + 2 = 4\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--ht2 --d -1 --mu 1,1", "d must be nonnegative"),
+        ("--ht2 --d 2 --mu 0,1", "column degrees must be positive integers"),
+        ("--ht3 --d 3 --n 3 --D 1 --delta 2", "need n+1 odd"),
+        ("--ht3 --d 0 --n 2 --D 1 --delta 1", "d must be positive"),
+    ],
+    ids=["ht2-d", "ht2-mu", "ht3-n", "ht3-d"],
+)
+def test_formula_values_the_library_rejects_are_usage_errors(capsys, flags, message):
+    """formula reads no input, so every value its formulas reject is a flag's."""
+    rc, out, err = run_cli(capsys, "formula", *flags.split())
+    assert (rc, out, err) == (2, "", f"mm: formula: {message}\n")
+
+
 def test_malformed_json_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -689,10 +724,11 @@ def test_check_g_default_s(capsys, monkeypatch):
     assert report_of(out)["result"]["s"] == 3
 
 
-@pytest.mark.parametrize("s", [5, 10])
+@pytest.mark.parametrize("s", [1, 5, 10])
 def test_check_g_passes_unit_fitting_ideals(capsys, monkeypatch, s):
     """Fitt_i of the Cremona presentation is the unit ideal for i >= 3; its
-    zero set is empty, so G_s holds however large s is."""
+    zero set is empty, so G_s holds however large s is.  G_1 is the empty
+    condition, so s = 1 is valid and holds too."""
     monkeypatch.chdir(TESTS_DIR)
     rc, out, _ = run_cli(
         capsys, "check-g", "--input", f"{INPUTS}/cremona.json", "--s", s

@@ -28,6 +28,7 @@ from mixedmult.hilbert import graded_piece_dim
 from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
+    SatFiberTable,
     _check_on_graph,
     _Expansion,
     _fitting_zero_set,
@@ -125,7 +126,6 @@ def test_map_rejects_generator_from_other_ring():
 def test_map_basic_properties():
     F = cremona_map()
     assert F.source_vars == ("x0", "x1", "x2")
-    assert F.target_count == 3
     assert F.delta == 2
     assert F.d == 2
     assert F.n == 2
@@ -137,7 +137,18 @@ def test_target_names_skip_colliding_bases():
     F = identity_map()
     assert F.target_names() == ("y0", "y1")
     clash = RationalMapSpec.make(CHAR, ("y0", "y1"), ("y0", "y1"))
-    assert clash.target_names() == ("u0", "u1")
+    assert clash.target_names() == ("y2", "y3")
+
+
+def test_target_names_follow_the_extended_ring_rule():
+    """Targets are named as ``RingSpec.extended`` names new variables: one
+    form gets ``y``, several get the free names among y0, y1, ..."""
+    point = RationalMapSpec.make(CHAR, ("x0",), ("x0^2",))
+    assert point.target_names() == ("y",)
+    assert point.graph_ring().blocks == (("x0",), ("y",))
+    mixed = RationalMapSpec.make(CHAR, ("y0", "x1"), ("y0", "x1", "y0+x1"))
+    assert mixed.target_names() == ("y1", "y2", "y3")
+    assert projective_degrees(point).degrees == (1,)
 
 
 def test_graph_ring_has_source_and_target_blocks():
@@ -1015,6 +1026,25 @@ def test_satfiber_d0_check_cubic_and_identity():
     assert cubic.agree is True and cubic.inferred_e == 3
     ident = satfiber_d0_check(identity_map(), 4)
     assert ident.agree is True and ident.inferred_e == 1
+
+
+def test_satfiber_d0_check_reads_the_table_differences():
+    """d = 0 reads the dims themselves, d = 3 the third differences of the
+    table's profile; values as computed before the check read them there."""
+    point = satfiber_d0_check(RationalMapSpec.make(CHAR, ("x0",), ("x0^2",)), 2)
+    assert point.table == SatFiberTable(dims=(1, 1, 1), difference_profile=((0, 0),))
+    assert (point.stabilized, point.inferred_e, point.d0_elimination) == (True, 1, 1)
+    cremona3 = RationalMapSpec.make(
+        CHAR,
+        ("x0", "x1", "x2", "x3"),
+        ("x1*x2*x3", "x0*x2*x3", "x0*x1*x3", "x0*x1*x2"),
+    )
+    check = satfiber_d0_check(cremona3, 5)
+    assert check.table == SatFiberTable(
+        dims=(1, 4, 10, 20, 35, 56),
+        difference_profile=((3, 6, 10, 15, 21), (3, 4, 5, 6), (1, 1, 1)),
+    )
+    assert (check.stabilized, check.inferred_e, check.d0_elimination) == (True, 1, 1)
 
 
 def test_satfiber_d0_check_needs_room_for_differences():

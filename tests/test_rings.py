@@ -96,6 +96,14 @@ def test_ring_rejects_empty_block():
         RingSpec(CHAR, (("x",), ()))
 
 
+def test_extended_names_one_variable_by_its_base():
+    ring = ring_blocks(("x", "y0"))
+    assert ring.extended("t").variables[2:] == ("t",)
+    assert ring.extended("x").variables[2:] == ("x0",)
+    assert ring.extended("y", 2).variables[2:] == ("y1", "y2")
+    assert ring.extended("t", 3).blocks[-1] == ("t0", "t1", "t2")
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -173,6 +181,39 @@ def packed(order, *monos):
     a run would pick for them: a smaller key is a larger monomial."""
     pk = _Packing(order, _width_for(max(map(sum, monos))))
     return [pk.pack(e) for e in monos]
+
+
+def test_term_order_is_its_description():
+    """Orders compare and hash by (kind, nvars, sorted distinct drop), so
+    equal descriptions share one ``_buchberger`` memo key."""
+    elim = TermOrder("elim", 5, (1, 3))
+    for drop in ((3, 1), [1, 3, 1, 3], (i for i in (3, 1, 3)), {1, 3}):
+        other = TermOrder("elim", 5, drop)
+        assert other == elim and hash(other) == hash(elim)
+        assert other.drop == (1, 3)
+    assert TermOrder("degrevlex", 5) == TermOrder("degrevlex", 5, ())
+    assert hash(TermOrder("degrevlex", 5)) == hash(TermOrder("degrevlex", 5))
+    assert elim != TermOrder("elim", 6, (1, 3))
+    assert elim != TermOrder("elim", 5, (1,))
+    assert TermOrder("degrevlex", 5) != TermOrder("degrevlex", 4)
+    assert elimination_order(R, ("y1", "x1")) == TermOrder("elim", 4, (3, 1))
+    with pytest.raises(AttributeError):
+        elim.drop = (0,)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("lex", 3), "unknown order kind 'lex'"),
+        (("degrevlex", 3, (0,)), "degrevlex takes no drop set"),
+        (("elim", 3, ()), "elimination order needs a nonempty drop set"),
+        (("elim", 3, (3,)), "drop index out of range"),
+        (("elim", 3, (-1,)), "drop index out of range"),
+    ],
+)
+def test_term_order_validates_its_description(args, message):
+    with pytest.raises(ValueError, match=message):
+        TermOrder(*args)
 
 
 def test_degrevlex_tiebreak():
