@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .errors import (
     EnumerationGuardError,
@@ -155,11 +154,7 @@ def _stringify_big(value):
         return value
     if isinstance(value, int):
         return str(value) if abs(value) > INT_SAFE else value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
-        return value
-    if isinstance(value, str):
         return value
     if isinstance(value, dict):
         return {k: _stringify_big(v) for k, v in value.items()}

@@ -159,20 +159,12 @@ class Ideal:
         tail = f", shift={self.shift}" if self.shift is not None else ""
         return f"Ideal(({gens}){tail})"
 
-    def with_shift(self, shift: Optional[tuple[int, ...]]) -> "Ideal":
-        out = Ideal(self.ring, self.generators, shift)
-        out._basis = self._basis
-        return out
-
     def require_multihomogeneous(self) -> None:
         for g in self.generators:
             if g.multidegree() is None:
                 raise NotMultihomogeneousError(
                     f"generator {g} is not multihomogeneous"
                 )
-
-    def contains(self, p: Polynomial) -> bool:
-        return normal_form(p, groebner_basis(self)).is_zero()
 
     def same_ideal(self, other: "Ideal") -> bool:
         """Mathematical equality via reduced-basis uniqueness."""

@@ -31,11 +31,11 @@ from .groebner import Ideal, _eliminate_helpers, _lift, _Packing, _width_for
 from .hilbert import hilbert_polynomial, k_polynomial, quotient_dimension, series_coefficient
 from .multigraded import irrelevant_saturation, random_block_form, slice_degree
 from .prng import Prng
-from .rings import Polynomial, RingSpec, degrevlex_order, parse_polynomial
+from .rings import Polynomial, RingSpec, degrevlex_order
 
 @dataclass(frozen=True)
 class RationalMapSpec:
-    """A rational map P^d -> P^n, d = #source_vars - 1, n = #generators - 1."""
+    """A rational map P^d -> P^n, d = #source variables - 1, n = #generators - 1."""
 
     source_ring: RingSpec
     generators: tuple[Polynomial, ...]
@@ -67,21 +67,6 @@ class RationalMapSpec:
             raise ValueError("constant maps are not rational maps of P^d")
         object.__setattr__(self, "_delta", delta)
 
-    @staticmethod
-    def make(
-        characteristic: int, variables: tuple[str, ...], exprs
-    ) -> "RationalMapSpec":
-        ring = RingSpec(characteristic, (tuple(variables),))
-        gens = tuple(
-            e if isinstance(e, Polynomial) else parse_polynomial(e, ring)
-            for e in exprs
-        )
-        return RationalMapSpec(ring, gens)
-
-    @property
-    def source_vars(self) -> tuple[str, ...]:
-        return self.source_ring.variables
-
     @property
     def delta(self) -> int:
         return self._delta
@@ -93,9 +78,6 @@ class RationalMapSpec:
     @property
     def n(self) -> int:
         return len(self.generators) - 1
-
-    def target_names(self) -> tuple[str, ...]:
-        return self.graph_ring().blocks[-1]
 
     def graph_ring(self) -> RingSpec:
         """The ring of P^d x P^n: the source variables, then one target
@@ -313,10 +295,6 @@ class PresentationMatrix:
     @property
     def ring(self) -> RingSpec:
         return self.entries[0][0].ring
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]))
 
     @property
     def column_degrees(self) -> tuple[int, ...]:
@@ -651,18 +629,21 @@ def satfiber_dims(F: RationalMapSpec, q_max: int) -> SatFiberTable:
     d = F.d
     delta = F.delta
     nonzero = tuple(g for g in F.generators if not g.is_zero())
-    dims: list[int] = []
-    for q in range(q_max + 1):
-        if q == 0:
-            dims.append(1)
+    dims = [1]
+    empty_base = False
+    for q in range(1, q_max + 1):
+        total = math.comb(q * delta + d, d)
+        if empty_base:
+            # V(I^q) = V(I) is empty, so (I^q)^sat is the unit ideal too
+            dims.append(total)
             continue
         gens_q = tuple(
             reduce(mul, sel, Polynomial.one(ring))
             for sel in combinations_with_replacement(nonzero, q)
         )
         sat = irrelevant_saturation(Ideal(ring, gens_q))
-        total = math.comb(q * delta + d, d)
         dims.append(total - series_coefficient(k_polynomial(sat), (q * delta,)))
+        empty_base = sat.is_unit_ideal()
     levels = []
     cur = dims
     for _ in range(max(1, d)):

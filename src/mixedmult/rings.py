@@ -275,9 +275,6 @@ class Polynomial:
             len(self.terms) == 1 and self.terms[0][0] == self.ring.zero_exps()
         )
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
-
     def lead_term(self) -> tuple[tuple[int, ...], int]:
         """(exponents, coefficient) of the leading term under degrevlex."""
         if not self.terms:
@@ -322,12 +319,6 @@ class Polynomial:
         if o is NotImplemented:
             return o
         return Polynomial(self.ring, self.terms + tuple((e, -c) for e, c in o.terms))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -453,28 +444,10 @@ class LaurentPolyZ:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
 
-    def __add__(self, other: "LaurentPolyZ") -> "LaurentPolyZ":
-        return LaurentPolyZ(self.r, self.terms + other.terms)
-
     def __sub__(self, other: "LaurentPolyZ") -> "LaurentPolyZ":
         return LaurentPolyZ(
             self.r, self.terms + tuple((e, -c) for e, c in other.terms)
         )
-
-    def __neg__(self) -> "LaurentPolyZ":
-        return LaurentPolyZ(self.r, ((e, -c) for e, c in self.terms))
-
-    def __mul__(self, other: "LaurentPolyZ") -> "LaurentPolyZ":
-        acc: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = acc.get(e, 0) + ca * cb
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
-        return LaurentPolyZ(self.r, acc.items())
 
     def shifted(self, by: tuple[int, ...]) -> "LaurentPolyZ":
         """Multiply by the monomial t^by."""
@@ -507,29 +480,8 @@ class LaurentPolyZ:
     def __hash__(self):
         return hash((self.r, self.terms))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms, key=lambda t: (sum(t[0]), t[0])):
-            mono = "*".join(
-                f"t{i + 1}" + (f"^{x}" if x != 1 else "")
-                for i, x in enumerate(e)
-                if x != 0
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
-
     def __repr__(self):
-        return f"LaurentPolyZ({self})"
+        return f"LaurentPolyZ({self.r}, {self.terms})"
 
 
 # ---------------------------------------------------------------------------

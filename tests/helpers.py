@@ -59,6 +59,23 @@ def p1xp1() -> RingSpec:
     return ring_blocks(("x0", "x1"), ("y0", "y1"))
 
 
+def rational_map(variables: tuple[str, ...], exprs: tuple[str, ...]) -> RationalMapSpec:
+    """The map P^d -> P^n by the parsed forms ``exprs`` in ``variables``."""
+    ring = RingSpec(CHAR, (tuple(variables),))
+    return RationalMapSpec(ring, tuple(parse_polynomial(e, ring) for e in exprs))
+
+
+def in_ideal(p: Polynomial, J: Ideal) -> bool:
+    return normal_form(p, groebner_basis(J)).is_zero()
+
+
+def laurent_product(a: LaurentPolyZ, b: LaurentPolyZ) -> LaurentPolyZ:
+    """a·b, for closed-form numerators (the library multiplies none)."""
+    return LaurentPolyZ(
+        a.r, ((tuple(map(add, ea, eb)), ca * cb) for ea, ca in a.terms for eb, cb in b.terms)
+    )
+
+
 def mk(ring: RingSpec, *exprs: str, shift=None) -> Ideal:
     gens = tuple(parse_polynomial(e, ring) for e in exprs)
     return Ideal(ring, gens, shift=shift)
@@ -477,7 +494,7 @@ def work_ring_rees_check(F: RationalMapSpec, gens) -> None:
     work = graph.extended("t")
     t = Polynomial.variable(work, work.variables[-1])
     images = (
-        [Polynomial.variable(work, x) for x in F.source_vars]
+        [Polynomial.variable(work, x) for x in F.source_ring.variables]
         + [t * _lift(f, work) for f in F.generators]
         + [t]
     )
@@ -721,7 +738,7 @@ def tuple_buchberger(
 
     for g, _ in work_gens:
         red, sg = tuple_full_reduce(
-            g.as_dict(), entries, order, p, sugar=g.total_degree(), sugars=sugars
+            dict(g.terms), entries, order, p, sugar=g.total_degree(), sugars=sugars
         )
         if red:
             add_element(*monic(Polynomial(ring, red.items())), sg)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from mixedmult import (
 from mixedmult.cli import run
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
+REPO_DIR = TESTS_DIR.parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 INPUTS = "golden/inputs"
 
@@ -770,3 +772,40 @@ def test_installed_console_script():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["result"]["degrees"] == [1, 2, 1]
+
+
+# ---------------------------------------------------------------------------
+# The README example and the benchmark tracer
+
+
+def test_readme_quick_start_shows_its_values():
+    readme = (REPO_DIR / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    shown = [line.split("#") for line in block.splitlines() if "#" in line]
+    assert len(shown) == 4
+    for expr, value in shown:
+        assert eval(expr, namespace) == eval(value), expr
+
+
+def test_benchmark_tracer_binds_every_wrapped_function():
+    """``Tracer.install`` raises when a function it wraps is gone from the
+    package; it runs in its own process so nothing here stays wrapped, and
+    writes no bytecode under perfbench/."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, (str(REPO_DIR / "src"), os.environ.get("PYTHONPATH")))
+        ),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
+        cwd=REPO_DIR / "perfbench",
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -28,6 +28,7 @@ from helpers import (
     CHAR,
     assert_canonical,
     assert_holds_its_basis,
+    in_ideal,
     mk,
     p1xp1,
     per_generator_saturation,
@@ -59,8 +60,8 @@ def test_gb_two_generator_completion():
     G = groebner_basis(J)
     assert rendered(G) == {"x1*y0 - x0*y1", "x0*y0", "x0^2*y1"}
     # the leading spread forces one genuinely new element beyond the input
-    assert J.contains(pp(R, "x1*y0^2"))
-    assert J.contains(pp(R, "x0^2*y1"))
+    assert in_ideal(pp(R, "x1*y0^2"), J)
+    assert in_ideal(pp(R, "x0^2*y1"), J)
 
 
 def test_gb_monomial_ideal_is_itself():
@@ -88,7 +89,7 @@ def test_gb_deterministic_and_order_invariant():
 def test_gb_autoreduced():
     G = groebner_basis(mk(R, "x0*y1 - x1*y0", "x0*y0"))
     for i, (g, lead) in enumerate(zip(G.elements, G.leading_exps)):
-        assert g.as_dict()[lead] == 1
+        assert dict(g.terms)[lead] == 1
         # no term of g is divisible by another element's leading term
         for j, lh in enumerate(G.leading_exps):
             if i == j:
@@ -124,7 +125,7 @@ def test_normal_form_is_a_remainder():
     G = groebner_basis(J)
     p = pp(R, "x0^2*y0*y1 + x1^2*y0^2 + x0*x1*y0*y1")
     r = normal_form(p, G)
-    assert J.contains(p - r)
+    assert in_ideal(p - r, J)
     for e, _ in r.terms:
         for lh in G.leading_exps:
             assert any(x < y for x, y in zip(e, lh))
@@ -300,7 +301,7 @@ def test_saturation_contains_j_with_quotient_criterion():
     grew = mk(RXY, "x^2", "x*y")
     sat = saturation(grew, K)
     for g in grew.generators:
-        assert sat.contains(g)
+        assert in_ideal(g, sat)
     assert not sat.same_ideal(grew)
     assert not _colon_by_ideal(grew, K).same_ideal(grew)
 
@@ -381,7 +382,6 @@ def test_saturation_holds_its_reduced_basis(inputs):
     J, K = inputs
     sat = saturation(J, K)
     assert_holds_its_basis(sat)
-    assert groebner_basis(sat.with_shift((1, -2))) is sat._basis
     elim = TermOrder("elim", R3.nvars, (0,))
     G = groebner_basis(sat, elim)
     assert G.order == elim
@@ -446,11 +446,11 @@ def test_intersection_membership_oracle():
     J2 = mk(RXY, "y")
     inter = ideal_intersection(J1, J2)
     for g in inter.generators:
-        assert J1.contains(g)
-        assert J2.contains(g)
+        assert in_ideal(g, J1)
+        assert in_ideal(g, J2)
     for g1 in J1.generators:
         for g2 in J2.generators:
-            assert inter.contains(g1 * g2)
+            assert in_ideal(g1 * g2, inter)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +494,8 @@ def test_lift_project_and_products_are_canonical():
     assert lifted == Polynomial(ext, ((e + (0,), c) for e, c in f.terms))
     assert _project(lifted, RXY) == f
     w = Polynomial.variable(ext, "w")
-    for q in (lifted, _project(lifted, RXY), f * f, w * lifted, lifted * (1 - w)):
+    one_minus_w = Polynomial.one(ext) - w
+    for q in (lifted, _project(lifted, RXY), f * f, w * lifted, lifted * one_minus_w):
         assert_canonical(q)
 
 
@@ -606,7 +607,7 @@ def test_ideal_shift_validation():
         mk(R, "x0*y0", shift=(1,))
     J = mk(R, "x0*y0", shift=(1, 2))
     assert J.shift == (1, 2)
-    assert J.with_shift(None).shift is None
+    assert Ideal(J.ring, J.generators).shift is None
 
 
 def test_same_ideal_distinguishes_presentations():

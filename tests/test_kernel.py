@@ -329,7 +329,7 @@ def tuple_normal_form(f, G):
         (lead, tuple((e, c) for e, c in g.terms if e != lead))
         for g, lead in zip(G.elements, G.leading_exps)
     ]
-    red, _ = tuple_full_reduce(f.as_dict(), entries, G.order, f.ring.characteristic)
+    red, _ = tuple_full_reduce(dict(f.terms), entries, G.order, f.ring.characteristic)
     return Polynomial(f.ring, red.items())
 
 

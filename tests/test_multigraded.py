@@ -12,7 +12,6 @@ from mixedmult import (
     NotMultihomogeneousError,
     Polynomial,
     Prng,
-    RationalMapSpec,
     SamplingExhausted,
     graded_piece_dim,
     ideal_quotient,
@@ -36,6 +35,7 @@ from helpers import (
     colon_filter_regular,
     intersection_irrelevant_ideal,
     mk,
+    rational_map,
     p1xp1,
     pp,
     ring_blocks,
@@ -51,9 +51,7 @@ def nbar() -> Ideal:
 
 
 def cremona_graph() -> Ideal:
-    F = RationalMapSpec.make(
-        32003, ("x0", "x1", "x2"), ("x1*x2", "x0*x2", "x0*x1")
-    )
+    F = rational_map(("x0", "x1", "x2"), ("x1*x2", "x0*x2", "x0*x1"))
     return rees_ideal(F)
 
 
