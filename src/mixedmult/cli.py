@@ -37,11 +37,14 @@ from .hilbert import (
 from .maps import (
     PresentationMatrix,
     RationalMapSpec,
+    _eliminated_degrees,
+    _sliced_degrees,
     check_G_condition,
     formula_gorenstein_ht3,
     formula_perfect_ht2,
     ideal_height,
     projective_degrees,
+    rees_ideal,
     satfiber_d0_check,
 )
 from .multigraded import compare_routes, multidegree, slice_degree
@@ -284,7 +287,9 @@ def _cmd_projdeg(loaded, args):
     checks = []
     elim = None
     if method in ("both", "elimination", "slicing"):
-        elim = projective_degrees(F, "elimination")
+        # one Rees ideal serves both routes of --method slicing
+        rees = rees_ideal(F)
+        elim = _eliminated_degrees(rees, F.d)
         result["degrees"] = list(elim.degrees)
         result["method"] = "elimination"
         base_height = ideal_height(Ideal(F.source_ring, F.generators))
@@ -304,9 +309,7 @@ def _cmd_projdeg(loaded, args):
             }
         )
     if method == "slicing":
-        sliced = projective_degrees(
-            F, "slicing", seed=args.seed, trials=args.trials
-        )
+        sliced = _sliced_degrees(rees, F.d, args.seed, args.trials)
         result["degrees_slicing"] = list(sliced.degrees)
         result["method"] = "slicing"
         checks.append(

@@ -55,6 +55,24 @@ Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
   the guard bits of the variable fields only (VGUARD): the lowest field
   where a divisor candidate exceeds the lcm is always a variable field.
   Exponent tuples are unpacked only for the final basis.
+* Hilbert-driven runs (Traverso, "Hilbert functions and the Buchberger
+  algorithm", JSC 22, 1996).  A private hint (weights, numerator), passed
+  by ``maps.rees_ideal``, says that the input is homogeneous when variable
+  j has weight w_j > 0 and that B/J has the series numerator / prod_j
+  (1 - z^w_j).  Pairs then queue by weighted sugar, the weight of their
+  lcm, which every remainder of the pair keeps.  On the first zero
+  reduction at weight D, when another pair of weight D is queued, the run
+  reads the numerator of its leading-term ideal and takes the deficit
+  HF_lead(D) - HF(D); each new lead of weight D lowers it by one, and at 0
+  the rest of weight D leaves the queue unreduced.  This is exact because
+  LT(G) lies in LT(J), which has the Hilbert function of J: at deficit 0
+  their weight-D parts are equal, so no pair of weight D has a nonzero
+  remainder.  A skipped pair still counts against the pair budget.  At
+  the end the run raises ``InvariantViolation`` unless the numerator of
+  its final leads is the hint's; with LT(G) in LT(J), equal series mean
+  LT(G) = LT(J), so that equality certifies the basis whatever was
+  skipped.  ``groebner`` reads numerators from ``hilbert`` inside the run,
+  since ``hilbert`` imports ``groebner``.
 
 Every ideal returned by elimination, intersection, colon or saturation
 holds its reduced degrevlex basis, and ``groebner_basis`` returns that
@@ -70,10 +88,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import ExponentOverflow, NotMultihomogeneousError, PairBudgetExceeded
+from .errors import (
+    ExponentOverflow,
+    InvariantViolation,
+    NotMultihomogeneousError,
+    PairBudgetExceeded,
+)
 from .rings import (
     MAX_EXPONENT,
     Polynomial,
@@ -448,14 +472,36 @@ def groebner_basis(J: Ideal, order: Optional[TermOrder] = None) -> GroebnerBasis
 # runs, so 4096 entries keep every reuse while bounding a long-lived process.
 @lru_cache(maxsize=4096)
 def _buchberger(
-    ring: RingSpec, gens: frozenset, order: TermOrder, budget: int
+    ring: RingSpec,
+    gens: frozenset,
+    order: TermOrder,
+    budget: int,
+    hint: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None,
 ) -> GroebnerBasis:
+    """The reduced basis of ``groebner_basis``.  A ``hint`` (weights,
+    numerator) drives the run by the known Hilbert series of B/(gens) (see
+    ``_packed_run``) and certifies the result: it raises
+    ``InvariantViolation`` unless the numerator of the final leading terms
+    is the hint's."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return GroebnerBasis(ring, order, (), ())
-    if any(g.is_constant() for g in gens):
-        return _unit_basis(ring, order)
-    return _widening(order, gens, lambda pk: _packed_run(ring, order, budget, gens, pk))
+        basis = GroebnerBasis(ring, order, (), ())
+    elif any(g.is_constant() for g in gens):
+        basis = _unit_basis(ring, order)
+    else:
+        basis = _widening(
+            order, gens, lambda pk: _packed_run(ring, order, budget, gens, pk, hint)
+        )
+    if hint is not None:
+        from .hilbert import _weighted_numerator
+
+        weights, target = hint
+        found = _weighted_numerator(basis.leading_exps, weights)
+        if found != target:
+            raise InvariantViolation(
+                f"leading terms have series numerator {found}, not {target}"
+            )
+    return basis
 
 
 def _unit_basis(ring: RingSpec, order: TermOrder) -> GroebnerBasis:
@@ -463,26 +509,65 @@ def _unit_basis(ring: RingSpec, order: TermOrder) -> GroebnerBasis:
 
 
 def _packed_run(
-    ring: RingSpec, order: TermOrder, budget: int, gens: list, pk: _Packing
+    ring: RingSpec,
+    order: TermOrder,
+    budget: int,
+    gens: list,
+    pk: _Packing,
+    hint: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None,
 ) -> GroebnerBasis:
     """One Buchberger run of ``_buchberger`` at the field width of ``pk``.
 
     The nonzero, nonconstant ``gens`` enter smallest lead first, equal
     leads by their monic terms in canonical order; the lead of a packed
-    input is its smallest key."""
+    input is its smallest key.
+
+    With a ``hint`` (weights, numerator) the run is Hilbert-driven
+    (Traverso, JSC 22, 1996).  ``gens`` must be homogeneous when variable j
+    has weight ``weights[j]`` > 0, and ``numerator`` must be that of the
+    series of B/(gens) over prod_j (1 - z^w_j); ``_buchberger``'s
+    certificate fails the run otherwise.  A pair's sugar is the weight of
+    its lcm, which is the weight of its S-polynomial and of every remainder
+    of it, and pairs pop by ascending weight, so while pairs of weight D
+    pop the basis is a Groebner basis up to weight D - 1.  When a pair of
+    weight D first reduces to zero and another pair of weight D is still
+    queued (a read before that could skip nothing), the run reads the
+    numerator of its leading-term ideal and takes the deficit
+    HF_lead(D) - HF(D), HF(D) the number of standard monomials of weight D.
+    LT(G) lies in LT(J), whose Hilbert function is that of J, so the
+    deficit is the number of monomials of weight D that LT(J) has beyond
+    LT(G), never negative.  A new element of weight D adds exactly its lead
+    to the weight-D part of LT(G) (weights are positive), so lowers the
+    deficit by one; at deficit 0 the two parts are equal, every remaining
+    pair of weight D would reduce to zero, and it leaves the queue
+    unreduced.  Skipped pairs count as processed against ``budget``."""
     p = ring.characteristic
     pack, unpack, flip = pk.pack, pk.unpack, pk.flip
-    degree, lcm, vguard = pk.degree, pk.lcm, pk.vguard
+    lcm, vguard = pk.lcm, pk.vguard
+    if hint is None:
+        degree = pk.degree
+    else:
+        from .hilbert import _weighted_numerator
+
+        weights, target = hint
+
+        def degree(m: int) -> int:
+            return sum(map(mul, unpack(m ^ flip), weights))
+
     inputs = []
     for g in gens:
         work = {pack(e): c for e, c in g.terms}
         kl = min(work)
         inv = pow(work[kl], p - 2, p)
         monic = tuple((e, c * inv % p) for e, c in g.terms)
-        inputs.append((-kl, monic, work, g.total_degree()))
+        sugar = g.total_degree() if hint is None else degree(kl ^ flip)
+        inputs.append((-kl, monic, work, sugar))
     inputs.sort(key=lambda t: t[:2])
     entries: list = []  # packed (lead, tail) per basis element
     sugars: list[int] = []
+    excesses: list[int] = []  # sugar minus lead degree, per element
+    # a hinted run's sugars are exact weights: _reduce need not track them
+    tracked = sugars if hint is None else None
     # A heap of (sugar, -lcm key, i, j, lcm), lcm a plain packed value.  The
     # fields of the lcm of two guard-free leads are below 2^(b-1) and its
     # degree fields below 2^b, so no complemented field borrows and the
@@ -543,19 +628,35 @@ def _packed_run(
                 minimal_lcms.append(li)
                 i = first[li]
                 if i is not None:
-                    s = max(sugars[i] - degree(entries[i][0]), excess_t) + degree(li)
+                    s = max(excesses[i], excess_t) + degree(li)
                     pairs.append((s, -(li ^ flip), i, t, li))
         heapify(pairs)
         entries.append(entry)
         sugars.append(sugar)
+        excesses.append(excess_t)
 
     # _reduce is linear, so reducing an input unscaled gives the same monic
     # remainder as reducing it monic
     for _, _, work, sugar in inputs:
-        red, sg = _reduce(work, entries, pk, p, sugar=sugar, sugars=sugars)
+        red, sg = _reduce(work, entries, pk, p, sugar=sugar, sugars=tracked)
         if red:
             add_element(pk.monic_entry(red, p)[1], sg)
 
+    def deficit_at(D: int) -> int:
+        """HF_lead(D) - HF(D) = sum_k (N_k - target_k) * c_(D-k), N the
+        numerator of the leading-term ideal and c_m the number of monomials
+        of weight m."""
+        counts = [1] + [0] * D
+        for w in weights:
+            for k in range(w, D + 1):
+                counts[k] += counts[k - w]
+        leads = [unpack(lead ^ flip) for lead, _ in entries]
+        diff = zip_longest(_weighted_numerator(leads, weights), target, fillvalue=0)
+        return sum((a - b) * c for (a, b), c in zip(diff, reversed(counts)))
+
+    # the weight D being popped and its deficit, None until a pair of weight
+    # D reduces to zero: a read costs a numerator, and before that none pays
+    weight_now, deficit = 0, None
     while pairs:
         best = heappop(pairs)
         processed += 1
@@ -570,6 +671,10 @@ def _packed_run(
                 },
             )
         s_sugar, neg_klij, i, j, _ = best
+        if hint is not None and s_sugar != weight_now:
+            weight_now, deficit = s_sugar, None
+        if deficit == 0:
+            continue
         # tails hold key(t) - key(lead), so key(lij / lead · t) = klij + diff
         klij = -neg_klij
         work: dict = {}
@@ -580,12 +685,21 @@ def _packed_run(
             k = klij + td
             work[k] = work.get(k, 0) - tc
         work = {k: c % p for k, c in work.items() if c % p}
-        red, sg = _reduce(work, entries, pk, p, sugar=s_sugar, sugars=sugars)
+        red, sg = _reduce(work, entries, pk, p, sugar=s_sugar, sugars=tracked)
         if red:
             kl, entry = pk.monic_entry(red, p)
             if kl == pk.one:
                 return _unit_basis(ring, order)
             add_element(entry, sg)
+            if deficit is not None:
+                deficit -= 1
+        elif deficit is None and hint is not None and pairs and pairs[0][0] == s_sugar:
+            deficit = deficit_at(s_sugar)
+            if deficit < 0:
+                raise InvariantViolation(
+                    f"leading terms leave {-deficit} fewer standard "
+                    f"monomials of weight {s_sugar} than the hinted series"
+                )
 
     # Inter-reduce to the unique reduced basis; ascending key is descending
     # in the order, and leads are distinct.
@@ -671,10 +785,13 @@ def elimination_ideal(J: Ideal, drop_names: Iterable[str]) -> Ideal:
     drop = tuple(dict.fromkeys(drop_names))
     if not drop:
         return J
-    ring = J.ring
+    return _drop_free(J.ring, drop, groebner_basis(J, elimination_order(J.ring, drop)))
+
+
+def _drop_free(ring: RingSpec, drop: tuple[str, ...], G: GroebnerBasis) -> Ideal:
+    """The elements of G, a reduced basis under the elimination order of
+    ``drop``, that involve no drop variable, holding them as their basis."""
     indices = [ring.var_index(n) for n in drop]
-    order = elimination_order(ring, drop)
-    G = groebner_basis(J, order)
     kept = [
         (g, lead)
         for g, lead in zip(G.elements, G.leading_exps)
@@ -700,17 +817,28 @@ def _project(p: Polynomial, ring: RingSpec) -> Polynomial:
 
 
 def _eliminate_helpers(
-    ext: RingSpec, gens: Iterable[Polynomial], ring: RingSpec
+    ext: RingSpec,
+    gens: Iterable[Polynomial],
+    ring: RingSpec,
+    hint: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None,
 ) -> Ideal:
     """The ideal of ``gens`` in ``ext``, ``ring`` extended by trailing
     helpers, intersected with ``ring``, holding its reduced degrevlex basis.
 
     Dropping trailing zero exponents keeps degrevlex comparisons, so the
     helper-free part of the elimination basis, projected, is still the
-    reduced degrevlex basis, in the same order.
+    reduced degrevlex basis, in the same order.  A ``hint`` drives and
+    certifies the elimination run as in ``_packed_run``.
     """
     n = ring.nvars
-    eliminated = elimination_ideal(Ideal(ext, gens), ext.variables[n:])
+    J = Ideal(ext, gens)
+    drop = ext.variables[n:]
+    if hint is None:
+        eliminated = elimination_ideal(J, drop)
+    else:
+        order = elimination_order(ext, drop)
+        G = _buchberger(ext, frozenset(J.generators), order, _pair_budget, hint)
+        eliminated = _drop_free(ext, drop, G)
     return _holding(
         ring,
         [_project(g, ring) for g in eliminated.generators],

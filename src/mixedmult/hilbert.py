@@ -443,6 +443,36 @@ def _unpack(
     return out
 
 
+def _weighted_numerator(
+    gens: Iterable[tuple[int, ...]], weights: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Numerator of the series of B/(gens) over prod_j (1 - z^w_j), where
+    variable j has weight w_j > 0, as its coefficients in z from z^0 up to
+    the last nonzero one ((), the zero numerator, for the unit ideal).
+
+    It is ``_knum``'s numerator with every t^e read as z^(w . e): the same
+    recursion, packed at z = 2^W.  Every exponent is the weight of an lcm of
+    generators, so at most that of the lcm of all of them, and every
+    coefficient is a sum of at most 2^n Taylor-complex signs, n the number
+    of minimal generators, so W = n + 2 bits hold it as a balanced digit.
+    """
+    gens = _minimalize(list(gens))
+    if not gens:
+        return (1,)
+    width = len(gens) + 2
+    top = sum(map(mul, map(max, zip(*gens)), weights))
+
+    def packed(acc: int, part: int, g: tuple[int, ...], sign: int) -> int:
+        part <<= width * sum(map(mul, g, weights))
+        return acc + part if sign > 0 else acc - part
+
+    num = _unpack(_recurse(gens, "default", 1, 0, packed), width, [top])
+    coeffs = [0] * (max(num, default=(-1,))[0] + 1)
+    for (k,), c in num.items():
+        coeffs[k] = c
+    return tuple(coeffs)
+
+
 def k_polynomial(J: Ideal, pivot_rule: str = "default") -> HilbertSeriesRep:
     """Laurent numerator of Hilb_{B/J(-shift)} over the full denominator."""
     if pivot_rule not in PIVOT_RULES:

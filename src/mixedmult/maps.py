@@ -2,8 +2,10 @@
 
 A map P^d -> P^n is given by n+1 forms of one degree.  Its graph lives in
 P^d x P^n with bigraded defining ideal obtained by eliminating t from
-(y_i - t f_i); each generator g is then checked to vanish on the graph,
-g(x, t f) = 0, one y-degree part at a time in the source ring.  The
+(y_i - t f_i), in one Buchberger run driven and certified by the known
+Hilbert series of that input; each generator g is then checked to vanish
+on the graph, g(x, t f) = 0, one y-degree part at a time in the source
+ring, in Horner form.  The
 projective degrees are the multidegrees of the graph at types (i, d-i).
 For maps presented by a Hilbert-Burch matrix or by an odd alternating
 matrix there are closed formulas for the whole degree vector, implemented
@@ -96,15 +98,20 @@ def _check_on_graph(F: RationalMapSpec, gens) -> None:
 
     The check runs in the source ring and is exact: g(x, t*f) =
     sum_b t^b * g_b(x, f), where g_b is the part of g of y-degree b, so
-    each term c*x^a*y^e goes to c*x^a*f^e, summed per y-degree b, and every
-    coefficient of every sum must be 0 mod p.  Monomials are the plain
-    packed values ``pack(e) ^ flip`` of ``groebner._Packing`` under
-    degrevlex, so multiplying two monomials is adding their values.  The
-    field width holds D, the largest deg_x(term) + delta*deg_y(term) over
-    the terms of gens: every x^a*f^e has degree at most D, so its exponents
-    and degree fit their fields and no sum carries into the next field.
-    The packed powers f^e are built once per call, each from a smaller
-    power times one f_i, and shared across gens.
+    every g_b(x, f) must be 0 mod p.  It is evaluated in Horner form: a
+    term c*x^a*y^e of y-degree b >= 1 splits as e = e' + e_i, i the last
+    index with e_i > 0, and adds c*x^a*f^e' to h_(b,i); then
+    g_b(x, f) = sum_i f_i * h_(b,i), the same polynomial as the sum of the
+    c*x^a*f^e, so the verdict is unchanged, while powers f^e' are built
+    only up to degree b - 1.  A term of y-degree 0 is its own monomial of
+    g_0(x, f) = g_0(x), so any such term fails the check.  Monomials are
+    the plain packed values ``pack(e) ^ flip`` of ``groebner._Packing``
+    under degrevlex, so multiplying two monomials is adding their values.
+    The field width holds D, the largest deg_x(term) + delta*deg_y(term)
+    over the terms of gens: every x^a*f^e' and every f_i * h_(b,i) has
+    degree at most D, so its exponents and degree fit their fields and no
+    sum carries into the next field.  The packed powers are built once per
+    call, each from a smaller power times one f_i, and shared across gens.
     """
     ring = F.source_ring
     nx = ring.nvars
@@ -119,39 +126,84 @@ def _check_on_graph(F: RationalMapSpec, gens) -> None:
     fs = [{pack(e) ^ flip: c for e, c in f.terms} for f in F.generators]
     f_pow: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(fs): {0: 1}}
 
+    def add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]):
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                acc[m] = acc.get(m, 0) + ca * cb
+
     def f_power(e: tuple[int, ...]) -> dict[int, int]:
         power = f_pow.get(e)
         if power is None:
             i = max(k for k, v in enumerate(e) if v)
             acc: dict[int, int] = {}
-            for ma, ca in f_power(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
-                for mb, cb in fs[i].items():
-                    m = ma + mb
-                    acc[m] = acc.get(m, 0) + ca * cb
+            add_product(acc, f_power(e[:i] + (e[i] - 1,) + e[i + 1:]), fs[i])
             power = f_pow[e] = {m: c % p for m, c in acc.items() if c % p}
         return power
 
     for g in gens:
-        by_degree: dict[int, dict[int, int]] = {}
+        hs: dict[tuple[int, int], dict[int, int]] = {}  # (b, i) -> h_(b,i)
         for exps, c in g.terms:
             e = exps[nx:]
-            acc = by_degree.setdefault(sum(e), {})
+            if not any(e):
+                raise InvariantViolation(
+                    f"Rees generator {g} does not vanish on the graph"
+                )
+            i = max(k for k, v in enumerate(e) if v)
+            h = hs.setdefault((sum(e), i), {})
             xa = pack(exps[:nx]) ^ flip
-            for m, fc in f_power(e).items():
+            for m, fc in f_power(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
                 k = xa + m
-                acc[k] = acc.get(k, 0) + c * fc
+                h[k] = h.get(k, 0) + c * fc
+        by_degree: dict[int, dict[int, int]] = {}
+        for (b, i), h in hs.items():
+            acc = by_degree.setdefault(b, {})
+            add_product(acc, {m: c % p for m, c in h.items() if c % p}, fs[i])
         if any(v % p for acc in by_degree.values() for v in acc.values()):
             raise InvariantViolation(
                 f"Rees generator {g} does not vanish on the graph"
             )
 
 
+def _graph_input(F: RationalMapSpec):
+    """(work ring, generators, hint) of the elimination behind
+    ``rees_ideal``: the ring of x, y and t, the y_i - t*f_i, and the
+    Hilbert-series hint (weights, numerator) of ``groebner._packed_run``.
+
+    With x and t of weight 1 and every y_i of weight delta + 1, each
+    y_i - t*f_i is homogeneous of weight delta + 1 (also for f_i = 0), and
+    they form a regular sequence: B/(y_i - t*f_i) is K[x, t], each y_i being
+    solved for.  Its series is 1 / (1 - z)^(d+2), which over the full
+    denominator prod_j (1 - z^w_j) = (1 - z)^(d+2) * (1 - z^(delta+1))^(n+1)
+    has numerator (1 - z^(delta+1))^(n+1).
+    """
+    graph = F.graph_ring()
+    ys = graph.blocks[-1]
+    work = graph.extended("t")
+    t_poly = Polynomial.variable(work, work.variables[-1])
+    gens = [
+        Polynomial.variable(work, y) - t_poly * _lift(f, work)
+        for y, f in zip(ys, F.generators)
+    ]
+    w = F.delta + 1
+    weights = (1,) * F.source_ring.nvars + (w,) * len(ys) + (1,)
+    numerator = [0] * (w * len(ys) + 1)
+    for k in range(len(ys) + 1):
+        numerator[w * k] = (-1) ** k * math.comb(len(ys), k)
+    return work, gens, (weights, tuple(numerator))
+
+
 def rees_ideal(F: RationalMapSpec) -> Ideal:
     """Bigraded defining ideal of the graph of F in P^d x P^n.
 
     Computed by eliminating t from (y_0 - t f_0, ..., y_n - t f_n) in the
-    ring of x, y and t.  Every returned generator g is checked to vanish
-    on the graph, g(x, t*f) = 0, part by y-degree in the source ring
+    ring of x, y and t, in one Buchberger run driven by the known Hilbert
+    series of that input (``_graph_input``): pairs go by weight, a pair
+    whose weight the leading terms already fill is not reduced, and the run
+    raises InvariantViolation unless the series numerator of its final
+    leading terms is the known one, which proves the basis (see
+    ``groebner._packed_run``).  Every returned generator g is checked to
+    vanish on the graph, g(x, t*f) = 0, part by y-degree in the source ring
     (``_check_on_graph``), and the ideal is checked to be bigraded.  The
     generators are the reduced degrevlex basis of the ideal and the result
     holds it: t is the trailing variable, so the t-free part of the reduced
@@ -159,15 +211,8 @@ def rees_ideal(F: RationalMapSpec) -> Ideal:
     (``groebner._eliminate_helpers``), and ``hilbert_polynomial`` of the
     result runs no second Buchberger.
     """
-    graph = F.graph_ring()
-    ys = graph.blocks[-1]
-    work = graph.extended("t")
-    t_poly = Polynomial.variable(work, work.variables[-1])
-    work_gens = [
-        Polynomial.variable(work, y) - t_poly * _lift(f, work)
-        for y, f in zip(ys, F.generators)
-    ]
-    result = _eliminate_helpers(work, work_gens, graph)
+    work, gens, hint = _graph_input(F)
+    result = _eliminate_helpers(work, gens, F.graph_ring(), hint)
     _check_on_graph(F, result.generators)
     try:
         result.require_multihomogeneous()
@@ -198,20 +243,9 @@ def projective_degrees(
     """
     d = F.d
     if method == "elimination":
-        table = hilbert_polynomial(rees_ideal(F)).leading_table()
-        degrees = tuple(table.value((i, d - i)) for i in range(d + 1))
-        return ProjectiveDegreeVector(degrees=degrees, method=method)
+        return _eliminated_degrees(rees_ideal(F), d)
     if method == "slicing":
-        J = rees_ideal(F)
-        out = []
-        for i in range(d + 1):
-            rep = slice_degree(J, (i, d - i), seed=seed, trials=trials)
-            if rep.point_count is None:
-                raise InvariantViolation(
-                    f"no verified slicing trial at type {(i, d - i)}"
-                )
-            out.append(rep.point_count)
-        return ProjectiveDegreeVector(degrees=tuple(out), method=method)
+        return _sliced_degrees(rees_ideal(F), d, seed, trials)
     if method == "formula":
         if matrix is None:
             raise ValueError("formula method needs a presentation matrix")
@@ -219,6 +253,26 @@ def projective_degrees(
             return formula_perfect_ht2(d, matrix.column_degrees)
         return formula_gorenstein_ht3(d, F.n, matrix.entry_degree, F.delta)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _eliminated_degrees(J: Ideal, d: int) -> ProjectiveDegreeVector:
+    """The "elimination" degree vector, read from J, the Rees ideal of a
+    map of P^d, so a caller that holds J builds it once."""
+    table = hilbert_polynomial(J).leading_table()
+    degrees = tuple(table.value((i, d - i)) for i in range(d + 1))
+    return ProjectiveDegreeVector(degrees=degrees, method="elimination")
+
+
+def _sliced_degrees(J: Ideal, d: int, seed: int, trials: int) -> ProjectiveDegreeVector:
+    """The "slicing" degree vector, counted in slices of J, the Rees ideal
+    of a map of P^d."""
+    out = []
+    for i in range(d + 1):
+        rep = slice_degree(J, (i, d - i), seed=seed, trials=trials)
+        if rep.point_count is None:
+            raise InvariantViolation(f"no verified slicing trial at type {(i, d - i)}")
+        out.append(rep.point_count)
+    return ProjectiveDegreeVector(degrees=tuple(out), method="slicing")
 
 
 # ---------------------------------------------------------------------------

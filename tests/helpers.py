@@ -3,7 +3,7 @@
 import heapq
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, combinations, product
 from operator import add, mul
 
@@ -28,7 +28,14 @@ from mixedmult import (
     normal_form,
     parse_polynomial,
 )
-from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _buchberger, _lift, _project
+from mixedmult.groebner import (
+    DEFAULT_PAIR_BUDGET,
+    _buchberger,
+    _lift,
+    _Packing,
+    _project,
+    _width_for,
+)
 from mixedmult.hilbert import _minimalize
 from mixedmult.maps import (
     PresentationMatrix,
@@ -416,22 +423,34 @@ def box_series_table(rep: HilbertSeriesRep, dimension: int) -> MixedMultTable:
     return MixedMultTable(dimension=d, route="series", entries=entries)
 
 
+@lru_cache(maxsize=16)
+def laplace_minors(rows: tuple[tuple[Polynomial, ...], ...], ring: RingSpec):
+    """minor(rsel, csel): the minor of ``rows`` on a row tuple and a column
+    tuple, by first-row Laplace expansion from the entries, each minor of
+    this matrix expanded once (memoized on its index tuples, one table per
+    matrix shared by every call on it)."""
+    memo: dict = {((), ()): Polynomial.one(ring)}
+
+    def minor(rsel: tuple[int, ...], csel: tuple[int, ...]) -> Polynomial:
+        det = memo.get((rsel, csel))
+        if det is None:
+            det = Polynomial.zero(ring)
+            row = rows[rsel[0]]
+            for j, c in enumerate(csel):
+                a = row[c]
+                if a.is_zero():
+                    continue
+                term = a * minor(rsel[1:], csel[:j] + csel[j + 1:])
+                det = det + term if j % 2 == 0 else det - term
+            memo[rsel, csel] = det
+        return det
+
+    return minor
+
+
 def _det(rows: tuple[tuple[Polynomial, ...], ...], ring: RingSpec) -> Polynomial:
     k = len(rows)
-    if k == 0:
-        return Polynomial.one(ring)
-    if k == 1:
-        return rows[0][0]
-    acc = Polynomial.zero(ring)
-    rest = rows[1:]
-    for j in range(k):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        sub = tuple(tuple(r[c] for c in range(k) if c != j) for r in rest)
-        term = a * _det(sub, ring)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return laplace_minors(rows, ring)(tuple(range(k)), tuple(range(k)))
 
 
 def _pf(rows: tuple[tuple[Polynomial, ...], ...], ring: RingSpec) -> Polynomial:
@@ -457,17 +476,18 @@ def submatrix(rows, rsel, csel) -> tuple[tuple[Polynomial, ...], ...]:
 
 
 def laplace_fitting_ideal(M: PresentationMatrix, i: int) -> Ideal:
-    """Reference Fitt_i: every minor of size (rows - i) expanded from
-    scratch by first-row Laplace (``_det``)."""
+    """Reference Fitt_i: every minor of size (rows - i) by first-row Laplace
+    expansion, read from the ``laplace_minors`` table of M."""
     rows, ring = M.entries, M.ring
     m, w = len(rows), len(rows[0])
     k = m - i
     if k <= 0:
         return Ideal(ring, (Polynomial.one(ring),))
+    minor = laplace_minors(rows, ring)
     return Ideal(
         ring,
         tuple(
-            _det(submatrix(rows, rsel, csel), ring)
+            minor(rsel, csel)
             for rsel in combinations(range(m), k)
             for csel in combinations(range(w), k)
         ),
@@ -500,6 +520,52 @@ def work_ring_rees_check(F: RationalMapSpec, gens) -> None:
     )
     for g in gens:
         if not _lift(g, work).substitute(work, images).is_zero():
+            raise InvariantViolation(
+                f"Rees generator {g} does not vanish on the graph"
+            )
+
+
+def expansion_graph_check(F: RationalMapSpec, gens) -> None:
+    """Reference Rees check by full expansion: each term c*x^a*y^e of g goes
+    to c*x^a*f^e on packed monomials, summed per y-degree, with every power
+    f^e built (from a smaller power times one f_i) and shared across gens;
+    raises InvariantViolation unless every sum vanishes mod p.  The library
+    check evaluates the same sums in Horner form."""
+    ring = F.source_ring
+    nx = ring.nvars
+    p = ring.characteristic
+    delta = F.delta
+    top = max(
+        (sum(e[:nx]) + delta * sum(e[nx:]) for g in gens for e, _ in g.terms),
+        default=0,
+    )
+    pk = _Packing(degrevlex_order(ring), _width_for(top))
+    pack, flip = pk.pack, pk.flip
+    fs = [{pack(e) ^ flip: c for e, c in f.terms} for f in F.generators]
+    f_pow: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(fs): {0: 1}}
+
+    def f_power(e: tuple[int, ...]) -> dict[int, int]:
+        power = f_pow.get(e)
+        if power is None:
+            i = max(k for k, v in enumerate(e) if v)
+            acc: dict[int, int] = {}
+            for ma, ca in f_power(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
+                for mb, cb in fs[i].items():
+                    m = ma + mb
+                    acc[m] = acc.get(m, 0) + ca * cb
+            power = f_pow[e] = {m: c % p for m, c in acc.items() if c % p}
+        return power
+
+    for g in gens:
+        by_degree: dict[int, dict[int, int]] = {}
+        for exps, c in g.terms:
+            e = exps[nx:]
+            acc = by_degree.setdefault(sum(e), {})
+            xa = pack(exps[:nx]) ^ flip
+            for m, fc in f_power(e).items():
+                k = xa + m
+                acc[k] = acc.get(k, 0) + c * fc
+        if any(v % p for acc in by_degree.values() for v in acc.values()):
             raise InvariantViolation(
                 f"Rees generator {g} does not vanish on the graph"
             )

@@ -199,6 +199,23 @@ def test_pair_budget_flag_reports_stats(capsys, monkeypatch):
     assert "pairs_remaining" in stats
 
 
+def test_rees_run_under_tiny_pair_budget_reports_stats(capsys, monkeypatch):
+    """The Hilbert-driven Rees elimination counts every pair that leaves its
+    queue, skipped or reduced, so a tiny budget still ends in exit 1 with
+    the usual stats."""
+    monkeypatch.chdir(TESTS_DIR)
+    rc, out, err = run_cli(
+        capsys, "projdeg", "--input", f"{INPUTS}/cremona.json",
+        "--method", "elimination", "--pair-budget", "1",
+    )
+    assert (rc, err) == (1, "")
+    rep = report_of(out)
+    assert rep["error"]["type"] == "PairBudgetExceeded"
+    stats = rep["error"]["stats"]
+    assert set(stats) == {"pairs_processed", "basis_size", "pairs_remaining", "budget"}
+    assert (stats["budget"], stats["pairs_processed"]) == (1, 2)
+
+
 @pytest.mark.parametrize("env", ["1", "abc"])
 def test_pair_budget_env_is_not_read(capsys, monkeypatch, env):
     """--pair-budget is the only budget knob: MM_PAIR_BUDGET changes

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 from operator import mul
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mixedmult.groebner as gb
 import mixedmult.maps as maps
@@ -15,6 +15,7 @@ from helpers import (
     _det,
     _pf,
     assert_holds_its_basis,
+    expansion_graph_check,
     in_ideal,
     minors_G_condition,
     per_generator_saturation,
@@ -22,10 +23,11 @@ from helpers import (
     rational_map,
     ring_blocks,
     submatrix,
+    tuple_buchberger,
     tuple_graph_check,
     work_ring_rees_check,
 )
-from mixedmult.errors import InvariantViolation, PresentationMismatch
+from mixedmult.errors import InvariantViolation, PairBudgetExceeded, PresentationMismatch
 from mixedmult.groebner import Ideal
 from mixedmult.hilbert import graded_piece_dim
 from mixedmult.maps import (
@@ -51,7 +53,7 @@ from mixedmult.maps import (
 )
 from mixedmult.multigraded import block_ideal
 from mixedmult.prng import Prng
-from mixedmult.rings import Polynomial, RingSpec, parse_polynomial
+from mixedmult.rings import Polynomial, RingSpec, elimination_order, parse_polynomial
 
 
 def identity_map() -> RationalMapSpec:
@@ -336,6 +338,146 @@ def test_rees_check_widens_for_the_map_degree():
     _check_on_graph(F, [parse_polynomial("x1^65536*y0 - x0^65536*y1", graph)])
     with pytest.raises(InvariantViolation):
         _check_on_graph(F, [parse_polynomial("x2*y0 - x1*y1", graph)])
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-driven Rees elimination and the Horner Rees check
+
+
+def conics_through_a_point() -> RationalMapSpec:
+    return rational_map(
+        ("x0", "x1", "x2"), ("x0^2", "x0*x1", "x0*x2", "x1*x2", "x2^2")
+    )
+
+
+@st.composite
+def drawn_maps(draw) -> RationalMapSpec:
+    """Maps of P^1, P^2 or P^3 by forms of degree 1 to 3 with at most two
+    terms each: some forms are zero, and sparse forms give base points (a
+    form list that is all zero is redrawn)."""
+    nvars = draw(st.integers(2, 4))
+    delta = draw(st.integers(1, 3))
+    ring = ring_blocks(tuple(f"x{i}" for i in range(nvars)))
+    monomials = sorted(
+        tuple(c.count(i) for i in range(nvars))
+        for c in combinations_with_replacement(range(nvars), delta)
+    )
+    term = st.tuples(st.sampled_from(monomials), st.integers(1, CHAR - 1))
+    form = st.lists(term, max_size=2, unique_by=lambda t: t[0])
+    forms = draw(
+        st.lists(form, min_size=nvars, max_size=nvars + 1).filter(lambda fs: any(fs))
+    )
+    return RationalMapSpec(ring, tuple(Polynomial(ring, f) for f in forms))
+
+
+def rees_run(F: RationalMapSpec, hint="graph", budget=gb.DEFAULT_PAIR_BUDGET):
+    """The elimination run of ``rees_ideal`` on F: with the map's own
+    Hilbert-series hint, with the given one, or with none."""
+    work, gens, own = maps._graph_input(F)
+    order = elimination_order(work, work.variables[-1:])
+    return gb._buchberger(
+        work, frozenset(gens), order, budget, own if hint == "graph" else hint
+    )
+
+
+# The tuple oracle takes about 60 ms an example here, so the deep profile
+# runs 400 of them, not 1000, to keep CI's deep-fuzz step within its aim.
+@settings(max_examples=min(settings().max_examples, 400))
+@given(F=drawn_maps())
+@example(F=cremona_map())
+@example(F=conics_through_a_point())
+@example(F=cubic_cremona_map())
+def test_hinted_rees_run_matches_unhinted_and_tuple_oracle(F):
+    """The Hilbert-driven run skips pairs but returns exactly the reduced
+    basis of the unhinted run and of the tuple oracle."""
+    work, gens, _ = maps._graph_input(F)
+    order = elimination_order(work, work.variables[-1:])
+    oracle = tuple_buchberger(work, gens, order, gb.DEFAULT_PAIR_BUDGET)
+    for G in (rees_run(F), rees_run(F, hint=None)):
+        assert G.elements == oracle.elements
+        assert G.leading_exps == oracle.leading_exps
+
+
+def accepts(check, F, gens) -> bool:
+    try:
+        check(F, gens)
+    except InvariantViolation:
+        return False
+    return True
+
+
+@given(F=drawn_maps(), data=st.data())
+@example(F=cremona_map(), data=None)
+@example(F=conics_through_a_point(), data=None)
+def test_horner_rees_check_matches_expansion_oracle(F, data):
+    """The Horner check and the full expansion accept the true Rees
+    generators, and give one verdict on a generator with one coefficient
+    changed (a term of a zero form's y_i still vanishes, so the verdict can
+    be either)."""
+    gens = rees_ideal(F).generators
+    assert accepts(_check_on_graph, F, gens)
+    assert accepts(expansion_graph_check, F, gens)
+    if data is None:
+        cases = [(g, e, 1) for g in gens for e, _ in g.terms]
+    else:
+        g = data.draw(st.sampled_from(gens))
+        e, _ = data.draw(st.sampled_from(g.terms))
+        cases = [(g, e, data.draw(st.integers(1, CHAR - 1)))]
+    for g, e, step in cases:
+        bad = g + Polynomial(g.ring, ((e, step),))
+        assert accepts(_check_on_graph, F, (bad,)) == accepts(
+            expansion_graph_check, F, (bad,)
+        )
+
+
+@pytest.mark.parametrize("name", sorted(REES_MAPS))
+def test_hint_off_by_one_coefficient_raises(name):
+    """A planted fault: a hint numerator one coefficient off, at any degree
+    up to one past its last, never yields a basis."""
+    F = REES_MAPS[name]()
+    _, _, (weights, numerator) = maps._graph_input(F)
+    for k in range(len(numerator) + 1):
+        for step in (1, -1):
+            bad = list(numerator) + [0]
+            bad[k] += step
+            while not bad[-1]:
+                bad.pop()
+            with pytest.raises(InvariantViolation):
+                rees_run(F, hint=(weights, tuple(bad)))
+
+
+def test_rees_budget_counts_skipped_pairs(monkeypatch):
+    """A skipped pair still leaves the queue, so it counts against the pair
+    budget: the Cremona run processes more pairs than it reduces, and every
+    smaller budget raises PairBudgetExceeded with the usual stats."""
+    F = cremona_map()
+    _, gens, _ = maps._graph_input(F)
+    sugars = []  # the sugar of every _reduce call: None in the final pass
+    reduce = gb._reduce
+
+    def counting(*args, **kwargs):
+        sugars.append(kwargs.get("sugar"))
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(gb, "_reduce", counting)
+    gb._buchberger.cache_clear()
+    rees_run(F)
+    reduced_pairs = sum(s is not None for s in sugars) - len(gens)
+    budget = 1
+    while True:
+        try:
+            rees_run(F, budget=budget)
+        except PairBudgetExceeded as exc:
+            assert set(exc.stats) == {
+                "pairs_processed", "basis_size", "pairs_remaining", "budget"
+            }
+            assert (exc.stats["pairs_processed"], exc.stats["budget"]) == (
+                budget + 1, budget
+            )
+            budget += 1
+        else:
+            break
+    assert budget > reduced_pairs
 
 
 HELD_BASIS_MAPS = dict(REES_MAPS, twisted_cubic=cubic_map)
