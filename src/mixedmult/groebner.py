@@ -71,8 +71,9 @@ Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
   the end the run raises ``InvariantViolation`` unless the numerator of
   its final leads is the hint's; with LT(G) in LT(J), equal series mean
   LT(G) = LT(J), so that equality certifies the basis whatever was
-  skipped.  ``groebner`` reads numerators from ``hilbert`` inside the run,
-  since ``hilbert`` imports ``groebner``.
+  skipped.  Both reads run ``hilbert``'s one K-numerator recursion on the
+  grading by the weights, imported inside the run (``hilbert`` imports
+  ``groebner``).
 
 Every ideal returned by elimination, intersection, colon or saturation
 holds its reduced degrevlex basis, and ``groebner_basis`` returns that
@@ -394,7 +395,7 @@ def _reduce(
     pk: _Packing,
     p: int,
     sugar: Optional[int] = None,
-    sugars: Optional[list] = None,
+    excesses: Optional[list] = None,
 ):
     """Tail-complete reduction of ``work`` (dict key -> coeff) by ``entries``.
 
@@ -402,13 +403,15 @@ def _reduce(
     ``_Packing.entry``.  Returns (remainder dict, sugar), the remainder
     filled largest term first.  Deterministic: the current largest term is
     reduced by the first entry (in list order) whose lead divides it.
+    ``excesses[i]`` is entry i's sugar minus its lead's degree, so using it
+    on the term m raises ``sugar`` to at least excesses[i] + deg(m).
     Raises ``_FieldOverflow`` when a popped term has a guard bit set.
     """
     heap = list(work)
     heapify(heap)
     get, pop = work.get, work.pop
     flip, guard = pk.flip, pk.guard
-    track_sugar = sugar is not None and sugars is not None
+    track_sugar = sugar is not None and excesses is not None
     remainder: dict = {}
     while heap:
         k = heappop(heap)
@@ -425,7 +428,7 @@ def _reduce(
             remainder[k] = c
             continue
         if track_sugar:
-            s = sugars[idx] + pk.degree(m - lead)
+            s = excesses[idx] + pk.degree(m)
             if s > sugar:
                 sugar = s
         c = p - c  # subtract c·(reducer) by adding (p - c)·(reducer)
@@ -564,10 +567,9 @@ def _packed_run(
         inputs.append((-kl, monic, work, sugar))
     inputs.sort(key=lambda t: t[:2])
     entries: list = []  # packed (lead, tail) per basis element
-    sugars: list[int] = []
     excesses: list[int] = []  # sugar minus lead degree, per element
     # a hinted run's sugars are exact weights: _reduce need not track them
-    tracked = sugars if hint is None else None
+    tracked = excesses if hint is None else None
     # A heap of (sugar, -lcm key, i, j, lcm), lcm a plain packed value.  The
     # fields of the lcm of two guard-free leads are below 2^(b-1) and its
     # degree fields below 2^b, so no complemented field borrows and the
@@ -632,13 +634,12 @@ def _packed_run(
                     pairs.append((s, -(li ^ flip), i, t, li))
         heapify(pairs)
         entries.append(entry)
-        sugars.append(sugar)
         excesses.append(excess_t)
 
     # _reduce is linear, so reducing an input unscaled gives the same monic
     # remainder as reducing it monic
     for _, _, work, sugar in inputs:
-        red, sg = _reduce(work, entries, pk, p, sugar=sugar, sugars=tracked)
+        red, sg = _reduce(work, entries, pk, p, sugar=sugar, excesses=tracked)
         if red:
             add_element(pk.monic_entry(red, p)[1], sg)
 
@@ -685,7 +686,7 @@ def _packed_run(
             k = klij + td
             work[k] = work.get(k, 0) - tc
         work = {k: c % p for k, c in work.items() if c % p}
-        red, sg = _reduce(work, entries, pk, p, sugar=s_sugar, sugars=tracked)
+        red, sg = _reduce(work, entries, pk, p, sugar=s_sugar, excesses=tracked)
         if red:
             kl, entry = pk.monic_entry(red, p)
             if kl == pk.one:
@@ -757,16 +758,15 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
 # Elimination and the derived ideal operations
 
 
-def _holding(
-    ring: RingSpec, elements: Sequence[Polynomial], leads: Sequence[tuple[int, ...]]
-) -> Ideal:
+def _holding(ring: RingSpec, elements: Sequence[Polynomial]) -> Ideal:
     """The ideal generated by ``elements``, holding them as its basis.
 
     ``elements`` must be the reduced degrevlex basis of the ideal they
-    generate, sorted by leading term, with leading exponents ``leads``;
-    ``groebner_basis`` then returns them without a Buchberger run.
+    generate, sorted by leading term; ``groebner_basis`` then returns them,
+    each lead its first term (degrevlex descending), with no Buchberger run.
     """
     J = Ideal(ring, elements)
+    leads = [g.terms[0][0] for g in J.generators]
     J._basis = GroebnerBasis(ring, degrevlex_order(ring), J.generators, leads)
     return J
 
@@ -792,12 +792,10 @@ def _drop_free(ring: RingSpec, drop: tuple[str, ...], G: GroebnerBasis) -> Ideal
     """The elements of G, a reduced basis under the elimination order of
     ``drop``, that involve no drop variable, holding them as their basis."""
     indices = [ring.var_index(n) for n in drop]
-    kept = [
-        (g, lead)
-        for g, lead in zip(G.elements, G.leading_exps)
+    return _holding(ring, [
+        g for g in G.elements
         if all(all(e[i] == 0 for i in indices) for e, _ in g.terms)
-    ]
-    return _holding(ring, [g for g, _ in kept], [lead for _, lead in kept])
+    ])
 
 
 def _lift(p: Polynomial, ext: RingSpec) -> Polynomial:
@@ -830,20 +828,15 @@ def _eliminate_helpers(
     reduced degrevlex basis, in the same order.  A ``hint`` drives and
     certifies the elimination run as in ``_packed_run``.
     """
-    n = ring.nvars
     J = Ideal(ext, gens)
-    drop = ext.variables[n:]
+    drop = ext.variables[ring.nvars:]
     if hint is None:
         eliminated = elimination_ideal(J, drop)
     else:
         order = elimination_order(ext, drop)
         G = _buchberger(ext, frozenset(J.generators), order, _pair_budget, hint)
         eliminated = _drop_free(ext, drop, G)
-    return _holding(
-        ring,
-        [_project(g, ring) for g in eliminated.generators],
-        [lead[:n] for lead in eliminated._basis.leading_exps],
-    )
+    return _holding(ring, [_project(g, ring) for g in eliminated.generators])
 
 
 def ideal_intersection(J1: Ideal, J2: Ideal) -> Ideal:
@@ -852,7 +845,7 @@ def ideal_intersection(J1: Ideal, J2: Ideal) -> Ideal:
         raise ValueError("ideals over different rings")
     ring = J1.ring
     if not J1.generators or not J2.generators:
-        return _holding(ring, (), ())
+        return _holding(ring, ())
     ext = ring.extended("_w")
     w = Polynomial.variable(ext, ext.variables[-1])
     one_minus_w = Polynomial.one(ext) - w
@@ -889,12 +882,12 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     if f.is_constant():
         G = groebner_basis(J)
     elif not J.generators:
-        return _holding(J.ring, (), ())
+        return _holding(J.ring, ())
     else:
         inter = ideal_intersection(J, Ideal(J.ring, (f,)))
         gens = [_exact_divide(g, f) for g in inter.generators]
         G = groebner_basis(Ideal(J.ring, gens))
-    return _holding(J.ring, G.elements, G.leading_exps)
+    return _holding(J.ring, G.elements)
 
 
 def saturation(J: Ideal, K: Ideal) -> Ideal:

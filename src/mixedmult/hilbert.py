@@ -10,16 +10,17 @@ K(I) = K(I + p) + t^deg(p) * K(I : p).  The "antipodal" rule pivots on a
 generator m of largest degree, K(I' + m) = K(I') - t^deg(m) * K(I' : m),
 and serves as an independent cross-check.
 
-The recursion runs on numerators packed into one Python int by Kronecker
+One recursion serves every grading, given a degree vector per variable:
+the unit vector of its block, or (w_j,) for a Hilbert-driven Groebner run.
+It runs on numerators packed into one Python int by Kronecker
 substitution, t_i -> 2^(W * stride_i), so every step is one shift and one
 add.  Three facts make this exact: every exponent of K(I) is at most the
-multidegree of the lcm of the generators, which sets the strides; every
+degree of the lcm of the generators, which sets the strides; every
 coefficient has |c| <= 2^n for n generators (the Taylor complex), so
 W = n + 2 bits hold it as a balanced digit; and evaluation is a ring
 homomorphism, so sub-results need not fit and the value is decoded once.
 The packed value has W bits for every point of the lcm box, so a box of
-more than PACK_BITS bits (high degrees, many generators) runs the same
-recursion on dicts of terms instead.
+more than PACK_BITS bits runs the same recursion on dicts of terms.
 
 Everything read at t = 1 comes from one expansion, the substitution
 t_i = 1 - s_i, done as a truncated Taylor shift one variable at a time.
@@ -164,14 +165,13 @@ def _minimalize(gens: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _dimension_and_multiplicity(
-    gens: tuple[tuple[int, ...], ...], ring: RingSpec
-) -> tuple[int, int]:
-    """Krull dimension and coarsened multiplicity of the quotient by the
-    monomial ideal (gens), gens the leading exponents of a reduced basis
-    (so already minimal), from one reading of its coarsened numerator;
-    (-1, 0) for the zero ring."""
-    num = _knum(gens, ring, "default")
+def _dimension_and_multiplicity(J: Ideal) -> tuple[int, int]:
+    """Krull dimension and coarsened multiplicity of B/J, from one reading
+    of the coarsened numerator of its leading-term ideal (minimally
+    generated by the leads of the reduced basis); (-1, 0) for the zero
+    ring."""
+    ring = J.ring
+    num = _knum(groebner_basis(J).leading_exps, ring, "default")
     d, form = _lowest_form(LaurentPolyZ(ring.r, num.items()).coarsened(), ring.nvars)
     e = sum(form.values())
     if d >= 0 and e < 1:
@@ -240,14 +240,9 @@ def _taylor_at_one(
     return dict(cur)
 
 
-def _lt_exps(J: Ideal) -> tuple[tuple[int, ...], ...]:
-    """Minimal monomial generators of the leading-term ideal (degrevlex)."""
-    return groebner_basis(J).leading_exps
-
-
 def quotient_dimension(J: Ideal) -> int:
     """Krull dimension of B/J (via the leading-term ideal)."""
-    return _dimension_and_multiplicity(_lt_exps(J), J.ring)[0]
+    return _dimension_and_multiplicity(J)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +269,30 @@ PACK_BITS = 1 << 16
 def _knum(
     gens: tuple[tuple[int, ...], ...], ring: RingSpec, rule: str
 ) -> dict[tuple[int, ...], int]:
+    """Numerator of the series of B/I, I = (gens) minimal, over the
+    multigrading of ``ring``: ``_numerator`` with each variable of degree
+    the unit vector of its block."""
+    units = [tuple(int(b == i) for i in range(ring.r)) for b in range(ring.r)]
+    degrees = tuple(u for u, size in zip(units, ring.block_sizes) for _ in range(size))
+    return _numerator(gens, degrees, rule)
+
+
+def _numerator(
+    gens: tuple[tuple[int, ...], ...], degrees: tuple[tuple[int, ...], ...],
+    rule: str,
+) -> dict[tuple[int, ...], int]:
     """Numerator of the series of B/I, I = (gens) minimal, as a dict over
-    multidegrees, by the recursion of ``_recurse`` with the pivot rule
-    ``rule``, one of ``PIVOT_RULES`` (``k_polynomial`` checks it).
+    degrees, variable v of degree vector ``degrees[v]`` (entries >= 0), by
+    the recursion of ``_recurse`` with the pivot rule ``rule``, one of
+    ``PIVOT_RULES`` (``k_polynomial`` checks it).
 
     A small lcm box runs the recursion on one Python int: the numerator
     evaluated at t_i = 2^(W * stride_i) (Kronecker substitution).  Three
     facts make the value decode to the numerator:
-      * every exponent is the multidegree of an lcm of generators (Taylor
-        complex), so it lies in the box [0, L], L the multidegree of the
-        lcm of all generators, and stride_i = prod_{j<i} (L_j + 1) gives
-        each exponent its own W-bit slot;
+      * every exponent is the degree of an lcm of generators (Taylor
+        complex), so it lies in the box [0, L], L the degree of the lcm of
+        all of them, and stride_i = prod_{j<i} (L_j + 1) gives each
+        exponent its own W-bit slot;
       * the Taylor complex has 2^n faces, n = len(gens), so every
         coefficient has |c| <= 2^n and W = n + 2 holds it as a balanced
         digit in [-2^(W-1), 2^(W-1));
@@ -297,25 +305,26 @@ def _knum(
     Beyond PACK_BITS packed bits (high degrees, many generators) the same
     recursion runs on dicts, whose cost follows the terms instead.
     """
+    r = len(degrees[0])
     if not gens:
-        return {(0,) * ring.r: 1}
+        return {(0,) * r: 1}
     width = len(gens) + 2
-    block = [i for i, size in enumerate(ring.block_sizes) for _ in range(size)]
-    top = [0] * ring.r
-    for v, column in enumerate(zip(*gens)):
-        top[block[v]] += max(column)
+    lcm = tuple(map(max, zip(*gens)))
+    columns = tuple(zip(*degrees))
+    top = [sum(map(mul, lcm, column)) for column in columns]
     if width * math.prod(L + 1 for L in top) > PACK_BITS:
         def sparse(acc: dict, part: dict, g: tuple[int, ...], sign: int) -> dict:
-            return _shift_add(acc, part, ring.multidegree_of(g), sign)
+            deg = tuple(sum(map(mul, g, column)) for column in columns)
+            return _shift_add(acc, part, deg, sign)
 
-        return _recurse(gens, rule, {(0,) * ring.r: 1}, {}, sparse)
-    stride = [width] * ring.r
-    for i in range(1, ring.r):
+        return _recurse(gens, rule, {(0,) * r: 1}, {}, sparse)
+    stride = [width] * r  # W * stride_i, the bit offset of t_i
+    for i in range(1, r):
         stride[i] = stride[i - 1] * (top[i - 1] + 1)
-    weight = [stride[i] for i in block]
+    shift = [sum(map(mul, degree, stride)) for degree in degrees]
 
     def packed(acc: int, part: int, g: tuple[int, ...], sign: int) -> int:
-        part <<= sum(map(mul, g, weight))
+        part <<= sum(map(mul, g, shift))
         return acc + part if sign > 0 else acc - part
 
     return _unpack(_recurse(gens, rule, 1, 0, packed), width, top)
@@ -448,25 +457,9 @@ def _weighted_numerator(
 ) -> tuple[int, ...]:
     """Numerator of the series of B/(gens) over prod_j (1 - z^w_j), where
     variable j has weight w_j > 0, as its coefficients in z from z^0 up to
-    the last nonzero one ((), the zero numerator, for the unit ideal).
-
-    It is ``_knum``'s numerator with every t^e read as z^(w . e): the same
-    recursion, packed at z = 2^W.  Every exponent is the weight of an lcm of
-    generators, so at most that of the lcm of all of them, and every
-    coefficient is a sum of at most 2^n Taylor-complex signs, n the number
-    of minimal generators, so W = n + 2 bits hold it as a balanced digit.
-    """
-    gens = _minimalize(list(gens))
-    if not gens:
-        return (1,)
-    width = len(gens) + 2
-    top = sum(map(mul, map(max, zip(*gens)), weights))
-
-    def packed(acc: int, part: int, g: tuple[int, ...], sign: int) -> int:
-        part <<= width * sum(map(mul, g, weights))
-        return acc + part if sign > 0 else acc - part
-
-    num = _unpack(_recurse(gens, "default", 1, 0, packed), width, [top])
+    the last nonzero one ((), the zero numerator, for the unit ideal):
+    ``_numerator`` with each variable of degree (w_j,)."""
+    num = _numerator(_minimalize(list(gens)), tuple((w,) for w in weights), "default")
     coeffs = [0] * (max(num, default=(-1,))[0] + 1)
     for (k,), c in num.items():
         coeffs[k] = c
@@ -479,7 +472,7 @@ def k_polynomial(J: Ideal, pivot_rule: str = "default") -> HilbertSeriesRep:
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     J.require_multihomogeneous()
     ring = J.ring
-    num_dict = _knum(_lt_exps(J), ring, pivot_rule)
+    num_dict = _knum(groebner_basis(J).leading_exps, ring, pivot_rule)
     numerator = LaurentPolyZ(ring.r, num_dict.items())
     if J.shift is not None:
         numerator = numerator.shifted(J.shift)
@@ -632,7 +625,10 @@ def graded_piece_dim(J: Ideal, nu: tuple[int, ...]) -> int:
             f"graded piece at {nu} has {count_bound} monomials (guard {PIECE_GUARD})"
         )
     # only a generator of multidegree <= nu can divide a monomial of degree nu
-    lt = [g for g in _lt_exps(J) if all(map(le, ring.multidegree_of(g), nu))]
+    lt = [
+        g for g in groebner_basis(J).leading_exps
+        if all(map(le, ring.multidegree_of(g), nu))
+    ]
     per_block = [
         list(_compositions(x, sz)) for x, sz in zip(nu, sizes)
     ]
@@ -656,4 +652,4 @@ def _compositions(total: int, parts: int):
 def coarsened_multiplicity(J: Ideal) -> int:
     """Multiplicity of the total-degree coarsening of B/J (0 for the zero ring)."""
     J.require_multihomogeneous()
-    return _dimension_and_multiplicity(_lt_exps(J), J.ring)[1]
+    return _dimension_and_multiplicity(J)[1]

@@ -579,7 +579,9 @@ def check_G_condition(F, M: PresentationMatrix, s: int) -> bool:
                 f"regenerated {g}"
             )
     heights: dict[Ideal, int] = {}
-    for i in range(1, s):
+    # Fitt_i for i >= m is the unit ideal (its minors have size m - i <= 0),
+    # which passes, so s past the m rows adds nothing to test
+    for i in range(1, min(s, len(M.entries))):
         J = _fitting_zero_set(M, E, i)
         if J not in heights:
             heights[J] = ideal_height(J)

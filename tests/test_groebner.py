@@ -186,14 +186,18 @@ def reduction_inputs(draw):
 
 def packed_reduce(work, entries, order, p, sugar, sugars):
     """``gb._reduce`` on tuple inputs, from 16-bit fields up, as a run
-    widens them; the remainder unpacked in its order."""
+    widens them, each entry's sugar passed as its excess over the degree of
+    its lead; the remainder unpacked in its order."""
+    excesses = None
+    if sugars is not None:
+        excesses = [s - sum(lead) for s, (lead, _) in zip(sugars, entries)]
     width = 16
     while True:
         pk = gb._Packing(order, width)
         packed = [pk.entry(lead, tail) for lead, tail in entries]
         try:
             rem, s = gb._reduce(
-                {pk.pack(e): c for e, c in work.items()}, packed, pk, p, sugar, sugars
+                {pk.pack(e): c for e, c in work.items()}, packed, pk, p, sugar, excesses
             )
         except gb._FieldOverflow:
             width *= 2

@@ -3,8 +3,9 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import product
+from operator import add, le, mul
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -30,6 +31,7 @@ from mixedmult import (
     series_coefficient,
     series_table,
 )
+import mixedmult.hilbert as hilbert
 from mixedmult.hilbert import PACK_BITS, PIVOT_RULES, _knum, _lowest_form, _minimalize
 
 from helpers import (
@@ -310,6 +312,77 @@ def test_high_degree_generators_cost_their_terms(rule):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def weighted_oracle(gens, weights) -> tuple[int, ...]:
+    """Coefficients in z of ``generator_pivot_knum`` on the minimal
+    generators, every variable its own block, with t^e read as z^(w . e)."""
+    minimal = tuple(sorted(
+        g for g in set(gens)
+        if not any(h != g and all(map(le, h, g)) for h in gens)
+    ))
+    coeffs: dict[int, int] = {}
+    for e, c in generator_pivot_knum(minimal, fine_ring(len(weights))).items():
+        k = sum(map(mul, e, weights))
+        coeffs[k] = coeffs.get(k, 0) + c
+    dense = [0] * (max((k for k, c in coeffs.items() if c), default=-1) + 1)
+    for k, c in coeffs.items():
+        if c:
+            dense[k] = c
+    return tuple(dense)
+
+
+@cache
+def fine_ring(n: int):
+    """n variables, each its own block: multidegrees are exponent vectors."""
+    return ring_blocks(*((f"x{i}",) for i in range(n)))
+
+
+@st.composite
+def weighted_cases(draw):
+    """(gens, weights): monomials in 1-4 variables with repeats and
+    multiples (non-minimal input), sometimes the unit ideal, and positive
+    weights, some large enough that the lcm box passes PACK_BITS."""
+    n = draw(st.integers(1, 4))
+    weights = tuple(
+        draw(st.lists(
+            st.integers(1, 5) | st.integers(1 << 13, 1 << 16), min_size=n, max_size=n
+        ))
+    )
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(monomials, max_size=6))
+    # multiples of the first generators, after them: a non-minimal input
+    gens += [tuple(map(add, g, e)) for g, e in zip(gens, draw(st.lists(monomials)))]
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * n)
+    return gens, weights
+
+
+@given(case=weighted_cases())
+@example(case=([], (3,)))
+@example(case=([(0, 0)], (1, 2)))
+@example(case=([(2, 0), (1, 1), (2, 1), (0, 3), (1, 1)], (2, 3)))
+def test_weighted_numerator_matches_generator_pivot_oracle(case):
+    """The weighted read of a Hilbert-driven run is the K-numerator of the
+    fine grading with t^e read as z^(w . e)."""
+    gens, weights = case
+    assert hilbert._weighted_numerator(gens, weights) == weighted_oracle(gens, weights)
+
+
+def test_weighted_numerator_past_pack_bits_takes_the_dict_route(monkeypatch):
+    gens, weights = [(2, 0), (1, 1), (0, 3), (2, 2)], (1 << 15, 3)
+    # lcm (2, 3) has weight 65,545 and W = 5 bits: past PACK_BITS
+    assert 5 * (2 * weights[0] + 3 * weights[1] + 1) > PACK_BITS
+    calls = []
+    shift_add = hilbert._shift_add
+
+    def counting(*args):
+        calls.append(args[2])
+        return shift_add(*args)
+
+    monkeypatch.setattr(hilbert, "_shift_add", counting)
+    assert hilbert._weighted_numerator(gens, weights) == weighted_oracle(gens, weights)
+    assert calls
 
 
 @given(J=shifted_monomial_ideals())

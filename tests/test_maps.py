@@ -908,18 +908,49 @@ def test_check_g_passes_unit_fitting_ideals(s):
     assert minors_G_condition(M, s) is True
 
 
-def test_check_g_on_plain_generator_sequence():
-    """Three quadrics in four variables: the height bound fails at i = 2."""
+def plain_quadrics():
+    """(x0^2, x0*x1, x1^2) in four variables with its Hilbert-Burch matrix."""
     ring = ring_blocks(("x0", "x1", "x2", "x3"))
     x0, x1 = pp(ring, "x0"), pp(ring, "x1")
     zero = Polynomial.zero(ring)
     M = PresentationMatrix(
         entries=((x1, zero), (-x0, x1), (zero, -x0)), kind="hilbert-burch"
     )
-    gens = (x0 * x0, x0 * x1, x1 * x1)
+    return (x0 * x0, x0 * x1, x1 * x1), M
+
+
+def test_check_g_on_plain_generator_sequence():
+    """Three quadrics in four variables: the height bound fails at i = 2."""
+    gens, M = plain_quadrics()
     assert check_G_condition(gens, M, 2) is True
     assert check_G_condition(gens, M, 3) is False
     assert check_G_condition(gens, M, 4) is False
+
+
+@pytest.mark.parametrize("case", ["cremona", "quadrics"])
+def test_check_g_huge_s_stops_at_the_matrix_size(case, monkeypatch):
+    """Fitt_i is the unit ideal for i >= m, the number of rows, so an s far
+    past m reads at most m - 1 Fitting ideals and answers as s = m + 1 does,
+    which the minors oracle confirms."""
+    if case == "cremona":
+        gens, M, expected = cremona_map(), cremona_matrix(), True
+    else:
+        (gens, M), expected = plain_quadrics(), False
+    m = len(M.entries)
+    assert minors_G_condition(M, m + 1) is expected
+    assert check_G_condition(gens, M, m + 1) is expected
+    reads = []
+    fitting = maps._fitting_zero_set
+
+    def counting(*args):
+        # fail at the first read past the matrix, not after 10^9 of them
+        assert args[2] < m, f"Fitt_{args[2]} read for {m} rows"
+        reads.append(args[2])
+        return fitting(*args)
+
+    monkeypatch.setattr(maps, "_fitting_zero_set", counting)
+    assert check_G_condition(gens, M, 10**9) is expected
+    assert reads
 
 
 def test_check_g_accepts_scalar_rescaled_generators():
