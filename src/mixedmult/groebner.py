@@ -13,6 +13,8 @@ Elimination is one run in a block elimination order.  Intersection, colon
 and saturation append helper variables, eliminate them and drop them
 before returning: intersection (and the colon built on it) uses one
 helper, saturation one helper per generator of the saturating ideal.
+Saturating a monomial ideal by a monomial ideal is the exception: it runs
+on exponent tuples, with no helper and no Buchberger run (``saturation``).
 
 Reduction works on monomials packed into one Python int each, as in
 Monagan & Pearce ("Sparse polynomial division using a heap", JSC 2011).
@@ -105,6 +107,7 @@ from .rings import (
     RingSpec,
     TermOrder,
     _grevlex_neg_key,
+    _minimalize,
     degrevlex_order,
     elimination_order,
     mono_div,
@@ -203,8 +206,9 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, autoreduced, sorted by leading term,
-    with the leading exponents of its elements under ``order``."""
+    """Reduced Groebner basis: monic, autoreduced, sorted by leading term
+    in ascending order under ``order`` (ascending degrevlex for a degrevlex
+    basis), with the leading exponents of its elements under that order."""
 
     __slots__ = ("ring", "order", "elements", "leading_exps")
 
@@ -762,8 +766,9 @@ def _holding(ring: RingSpec, elements: Sequence[Polynomial]) -> Ideal:
     """The ideal generated by ``elements``, holding them as its basis.
 
     ``elements`` must be the reduced degrevlex basis of the ideal they
-    generate, sorted by leading term; ``groebner_basis`` then returns them,
-    each lead its first term (degrevlex descending), with no Buchberger run.
+    generate, sorted by leading term in ascending degrevlex order;
+    ``groebner_basis`` then returns them, each lead its first term (terms
+    run degrevlex descending), with no Buchberger run.
     """
     J = Ideal(ring, elements)
     leads = [g.terms[0][0] for g in J.generators]
@@ -891,6 +896,55 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturation(J: Ideal, K: Ideal) -> Ideal:
+    """(J : K^∞) as its reduced degrevlex basis: from exponent tuples when
+    every generator of J and of K is a single term, else by one elimination.
+
+    For K = (k_1, ..., k_r), (J : K^∞) = ∩_j (J : k_j^∞): if K^M·g ⊆ J then
+    k_j^M·g ∈ J for each j; conversely, if k_j^M·g ∈ J for every j, each
+    product of r(M − 1) + 1 generators of K has some k_j at least M times,
+    so K^(r(M−1)+1)·g ⊆ J.  For monomial J = (m_1, ..., m_s) and a term k,
+    J : k^∞ is monomial, and a monomial u lies in it iff u·k^N ∈ J for some
+    N, iff some m_i divides u·k^N; for large N, k^N exceeds every m_i on
+    supp(k), so that holds iff m_i with its exponents on supp(k) set to 0
+    divides u.  Those zeroed m_i generate J : k^∞, and monomial ideals
+    intersect by pairwise lcms of generators, so ``_monomial_saturation``
+    needs no Buchberger run; every other input takes
+    ``_rabinowitsch_saturation``.  Either way the result holds its basis,
+    so ``groebner_basis`` of the result runs no Buchberger.
+    """
+    if J.ring != K.ring:
+        raise ValueError("ideals over different rings")
+    if not K.generators:
+        raise ValueError("saturation by the zero ideal")
+    if all(len(g.terms) == 1 for g in (*J.generators, *K.generators)):
+        return _monomial_saturation(J, K)
+    return _rabinowitsch_saturation(J, K)
+
+
+def _monomial_saturation(J: Ideal, K: Ideal) -> Ideal:
+    """(J : K^∞) for J and K generated by single terms (see ``saturation``):
+    one part per generator k of K, J's exponents with those on supp(k) set
+    to 0, minimalized, folded by minimalized pairwise lcms.  The minimal
+    generators of a monomial ideal, monic, are its reduced Groebner basis
+    under any order; they come back in ascending degrevlex order, as the
+    elimination route returns them."""
+    gens = [g.terms[0][0] for g in J.generators]
+    result = None
+    for k in K.generators:
+        keep = tuple(int(not a) for a in k.terms[0][0])
+        part = _minimalize([tuple(map(mul, e, keep)) for e in gens])
+        if result is None:
+            result = part
+        elif part != result:
+            result = _minimalize([tuple(map(max, a, b)) for a in result for b in part])
+    ring = J.ring
+    return _holding(ring, [
+        Polynomial._canonical(ring, ((e, 1),))
+        for e in sorted(result, key=_grevlex_neg_key, reverse=True)
+    ])
+
+
+def _rabinowitsch_saturation(J: Ideal, K: Ideal) -> Ideal:
     """(J : K^∞) by one elimination, as its reduced degrevlex basis.
 
     With one helper w_j per generator k_j of K,
@@ -902,10 +956,6 @@ def saturation(J: Ideal, K: Ideal) -> Ideal:
     degrevlex; the result holds it, so ``groebner_basis`` of the result
     runs no second Buchberger.
     """
-    if J.ring != K.ring:
-        raise ValueError("ideals over different rings")
-    if not K.generators:
-        raise ValueError("saturation by the zero ideal")
     ring = J.ring
     r = len(K.generators)
     ext = ring.extended("_w", r)

@@ -50,7 +50,14 @@ from typing import Callable, Iterable, Optional
 
 from .errors import EnumerationGuardError, InvariantViolation
 from .groebner import Ideal, groebner_basis
-from .rings import LaurentPolyZ, RingSpec, _grevlex_neg_key, mono_divides
+from .rings import (
+    LaurentPolyZ,
+    RingSpec,
+    _degree_key,
+    _grevlex_neg_key,
+    _minimalize,
+    mono_divides,
+)
 
 PIECE_GUARD = 10**7
 
@@ -150,19 +157,6 @@ class HilbertPolynomialRep:
 
 # ---------------------------------------------------------------------------
 # Dimension of a monomial quotient
-
-
-def _degree_key(e: tuple[int, ...]):
-    return (sum(e), e)
-
-
-def _minimalize(gens: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    gens = sorted(set(gens), key=_degree_key)
-    out: list[tuple[int, ...]] = []
-    for g in gens:
-        if not any(all(map(le, h, g)) for h in out):
-            out.append(g)
-    return tuple(out)
 
 
 def _dimension_and_multiplicity(J: Ideal) -> tuple[int, int]:
@@ -368,11 +362,15 @@ def _recurse(
 
     so K(I) = K(I+p) + t^deg(p) * K(I:p).  As k is least, x_v^k divides
     every generator that contains x_v: I + p is the generators without x_v
-    plus p (already minimal), and I : p subtracts k from every x_v exponent
-    (then minimalized).  Termination: x_v, the most frequent variable, lies
-    in at least two generators, each of degree >= k, so the sum of the
-    generator degrees drops by at least k in I + p (they give way to p
-    alone) and by at least 2k in I : p.
+    plus p (already minimal), and I : p subtracts k from every x_v exponent.
+    Lowering keeps the lowered generators minimal among themselves (a' | b'
+    gives a | b) and never divisible by a generator without x_v, so only
+    such a generator can fall, and only to a lowered generator free of x_v,
+    one whose x_v exponent was exactly k: I : p tests just those pairs.
+    Termination: x_v, the most frequent variable, lies in at least two
+    generators, each of degree >= k, so the sum of the generator degrees
+    drops by at least k in I + p (they give way to p alone) and by at least
+    2k in I : p.
 
     "antipodal" pivots on a generator m of largest degree (ties: largest
     in degrevlex) with I' the other generators, by the sequence for
@@ -409,10 +407,14 @@ def _recurse(
             v = counts.index(most)
             k = min(e for e in columns[v] if e)
             p = zero_exps[:v] + (k,) + zero_exps[v + 1:]
-            plus = tuple(sorted([g for g in gens if not g[v]] + [p], key=_degree_key))
-            colon = _minimalize(
-                [g[:v] + (g[v] - k,) + g[v + 1:] if g[v] else g for g in gens]
-            )
+            without = [g for g in gens if not g[v]]
+            plus = tuple(sorted(without + [p], key=_degree_key))
+            lowered = [g[:v] + (g[v] - k,) + g[v + 1:] for g in gens if g[v]]
+            free = [h for h in lowered if not h[v]]
+            colon = tuple(sorted(
+                lowered + [g for g in without if not any(all(map(le, h, g)) for h in free)],
+                key=_degree_key,
+            ))
             value = combine(rec(plus), rec(colon), p, 1)
         memo[gens] = value
         return value
@@ -459,7 +461,7 @@ def _weighted_numerator(
     variable j has weight w_j > 0, as its coefficients in z from z^0 up to
     the last nonzero one ((), the zero numerator, for the unit ideal):
     ``_numerator`` with each variable of degree (w_j,)."""
-    num = _numerator(_minimalize(list(gens)), tuple((w,) for w in weights), "default")
+    num = _numerator(_minimalize(gens), tuple((w,) for w in weights), "default")
     coeffs = [0] * (max(num, default=(-1,))[0] + 1)
     for (k,), c in num.items():
         coeffs[k] = c

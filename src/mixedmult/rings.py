@@ -7,6 +7,7 @@ exponent tuples over the flattened variable list; polynomials are sparse
 term tuples with coefficients in [1, p), kept in descending degrevlex
 order, so a polynomial's leading term is its first.  This module also
 carries the integer Laurent polynomials used for Hilbert numerators, the
+minimal generators of monomial ideals given by exponent tuples, the
 descriptions of the two term orders (degrevlex and block elimination), and
 the expression parser.  It compares no monomials under a term order: the
 packed key of ``groebner._Packing`` makes every such comparison.
@@ -189,6 +190,21 @@ def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """a / b, assuming b | a."""
     return tuple(map(sub, a, b))
+
+
+def _degree_key(e: tuple[int, ...]):
+    return (sum(e), e)
+
+
+def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The minimal generators of the monomial ideal of ``gens``, sorted by
+    (degree, exponents): the library's one canonical form of a monomial
+    ideal given by exponent tuples."""
+    out: list[tuple[int, ...]] = []
+    for g in sorted(set(gens), key=_degree_key):
+        if not any(all(map(le, h, g)) for h in out):
+            out.append(g)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,19 @@ from mixedmult.groebner import (
     _project,
     _width_for,
 )
-from mixedmult.hilbert import _minimalize
 from mixedmult.maps import (
     PresentationMatrix,
     RationalMapSpec,
     ideal_height,
 )
 from mixedmult.multigraded import block_ideal
-from mixedmult.rings import TermOrder, degrevlex_order, mono_div, mono_divides
+from mixedmult.rings import (
+    TermOrder,
+    _minimalize,
+    degrevlex_order,
+    mono_div,
+    mono_divides,
+)
 
 CHAR = 32003
 

@@ -4,7 +4,7 @@ import operator
 from functools import partial, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mixedmult.groebner as gb
 from mixedmult import (
@@ -22,6 +22,7 @@ from mixedmult import (
     set_pair_budget,
 )
 from mixedmult.groebner import DEFAULT_PAIR_BUDGET, _lift, _project
+from mixedmult.multigraded import irrelevant_ideal
 from mixedmult.rings import TermOrder, elimination_order
 
 from helpers import (
@@ -418,6 +419,94 @@ def test_saturation_helpers_avoid_existing_names():
         assert sat.ring == ring
         assert sat.generators != groebner_basis(J).elements
         assert sat.generators == per_generator_saturation(J, K).generators
+
+
+@st.composite
+def monomial_saturations(draw):
+    """(J, K) with J monomial in 1-3 blocks and K the irrelevant ideal or 1-3
+    drawn terms (a constant among them at times).  J's terms carry
+    coefficients other than 1, and some repeat a monomial or are multiples
+    of another generator; at times J has no generators.  Degrees stay at
+    most 3, and at most 2 with three blocks, whose eliminations are slow."""
+    blocks = draw(st.integers(1, 3))
+    top = 3 if blocks < 3 else 2
+    sizes = draw(st.lists(st.integers(1, top), min_size=blocks, max_size=blocks))
+    ring = ring_blocks(*(tuple(f"{b}{i}" for i in range(n)) for b, n in zip("xyz", sizes)))
+    n = ring.nvars
+    coeffs = st.sampled_from((1, 2, -1, 7))
+
+    def terms(min_degree):
+        return st.tuples(
+            st.lists(st.integers(0, n - 1), min_size=min_degree, max_size=top).map(
+                lambda vs: tuple(vs.count(i) for i in range(n))
+            ),
+            coeffs,
+        ).map(lambda t: Polynomial(ring, (t,)))
+
+    gens = []
+    if draw(st.integers(0, 7)):
+        gens = draw(st.lists(terms(2), min_size=2, max_size=6))
+        for g in draw(st.lists(st.sampled_from(gens), max_size=2)):
+            gens.append(g * draw(terms(0)))  # the same monomial again, or a multiple
+    if draw(st.booleans()):
+        K = irrelevant_ideal(ring)
+    else:
+        k = draw(st.lists(terms(1), min_size=1, max_size=3))
+        if draw(st.integers(0, 5)) == 5:
+            k.append(Polynomial.constant(ring, draw(coeffs)))
+        K = Ideal(ring, k)
+    return Ideal(ring, gens), K
+
+
+# The deep profile runs 300 examples, about 2 s on a 2-core host, not 1000:
+# CI's deep-fuzz step has no room for more.
+@settings(max_examples=min(settings().max_examples, 300))
+@given(inputs=monomial_saturations())
+@example(inputs=(mk(R, "x0^2*y0", "3*x1^2*y1", "x0*x1*y0*y1"), irrelevant_ideal(R)))
+@example(inputs=(mk(R, "2*x0^2", "x0^3*y1"), mk(R, "-x0*y1")))
+@example(inputs=(Ideal(R, ()), irrelevant_ideal(R)))
+def test_monomial_saturation_matches_elimination_and_per_generator_oracle(inputs):
+    """The monomial route returns what the one elimination returns, tuple
+    for tuple, on one and two blocks (three-block eliminations take seconds),
+    and the ideal of the per-generator oracle on all."""
+    J, K = inputs
+    sat = saturation(J, K)
+    held = groebner_basis(sat)
+    if J.ring.r < 3:
+        forced = gb._rabinowitsch_saturation(J, K)
+        assert sat.generators == forced.generators
+        assert held.elements == groebner_basis(forced).elements
+        assert held.leading_exps == groebner_basis(forced).leading_exps
+    assert sat.same_ideal(per_generator_saturation(J, K))
+
+
+@pytest.mark.parametrize(
+    "J, K, route",
+    [
+        (mk(RXY, "x^2", "2*x*y"), mk(RXY, "x", "5*y"), "_monomial_saturation"),
+        (mk(RXY, "x^2", "x*y"), mk(RXY, "x + y", "y"), "_rabinowitsch_saturation"),
+        (mk(RXY, "x^2 - x*y"), mk(RXY, "x", "y"), "_rabinowitsch_saturation"),
+    ],
+)
+def test_saturation_route_follows_whether_every_generator_is_a_term(
+    monkeypatch, J, K, route
+):
+    """Only single-term generators in J and in K take the monomial route."""
+    taken = []
+    for name in ("_monomial_saturation", "_rabinowitsch_saturation"):
+        run = getattr(gb, name)
+        monkeypatch.setattr(
+            gb, name, lambda J, K, name=name, run=run: taken.append(name) or run(J, K)
+        )
+    saturation(J, K)
+    assert taken == [route]
+
+
+def test_monomial_saturation_drops_the_shift():
+    J = mk(R, "x0^2*y1", "x0*x1*y0", shift=(1, -2))
+    sat = saturation(J, irrelevant_ideal(R))
+    assert sat.shift is None
+    assert sat.generators == saturation(Ideal(R, J.generators), irrelevant_ideal(R)).generators
 
 
 # ---------------------------------------------------------------------------

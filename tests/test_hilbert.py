@@ -32,7 +32,8 @@ from mixedmult import (
     series_table,
 )
 import mixedmult.hilbert as hilbert
-from mixedmult.hilbert import PACK_BITS, PIVOT_RULES, _knum, _lowest_form, _minimalize
+from mixedmult.hilbert import PACK_BITS, PIVOT_RULES, _knum, _lowest_form
+from mixedmult.rings import _minimalize
 
 from helpers import (
     box_series_table,

@@ -1200,6 +1200,15 @@ def test_satfiber_dims_stop_saturating_once_the_base_saturates_to_unit(monkeypat
     assert len(saturated) == 5
 
 
+def test_satfiber_dims_of_a_monomial_map_run_no_buchberger():
+    """The powers of a monomial map are monomial ideals, so their
+    saturations, and the K-polynomials read from the held bases, need no
+    Groebner run."""
+    gb._buchberger.cache_clear()
+    assert satfiber_dims(cubic_cremona_map(), 5).dims == (1, 4, 10, 20, 35, 56)
+    assert gb._buchberger.cache_info().misses == 0
+
+
 def test_satfiber_dims_rejects_small_q_max():
     with pytest.raises(ValueError, match="at least 1"):
         satfiber_dims(identity_map(), 0)
